@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification sweep: configure, build (warnings as errors), run
-# the test suite, replay a pinned chaos plan (fault injection), soak
+# the test suite and the benchmark's correctness gates, replay a
+# pinned chaos plan (fault injection), soak
 # the service under syscall-level fault injection (pvar_chaos), run
 # the thread-pool/protocol tests under ThreadSanitizer plus the
 # service/store tests under AddressSanitizer, and execute every bench
@@ -11,6 +12,14 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja -DPVAR_WERROR=ON
 cmake --build build
 ctest --test-dir build --output-on-failure -j"$(nproc)"
+
+# Benchmark correctness gates: the perf/ harness's --smoke runs check
+# every workload's outputs (store cold == warm == uncached bytes, an
+# all-hit warm pass, the seed-0 golden, service bodies equal to
+# handle()) on seconds-long inputs, without printing timings.
+cmake -S perf -B build-perf -G Ninja -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perf
+ctest --test-dir build-perf --output-on-failure
 
 # Spec-layer round trip: the registry serialized to a fleet file must
 # run the study protocol end-to-end, as must the shipped example.
@@ -328,13 +337,14 @@ chaos_soak ./build/pvar_chaos 3 2
 # ThreadSanitizer pass over the parallel runner: the pool unit tests,
 # the protocol determinism tests, the spec/JSON layer feeding the
 # parallel scheduler, the service (acceptor + workers + cache under
-# concurrent requests), and real multi-worker study runs (builtin SoC
-# and JSON-defined fleet).
+# concurrent requests), parallel crowd cohorts sharing one live-point
+# cache, and real multi-worker study runs (builtin SoC and
+# JSON-defined fleet).
 cmake -B build-tsan -G Ninja -DPVAR_SANITIZE=thread
 cmake --build build-tsan \
     --target test_parallel test_protocol test_json test_spec \
-        test_service test_eventloop test_store test_fault pvar_study \
-        pvar_served pvar_loadgen pvar_storectl pvar_chaos
+        test_service test_eventloop test_store test_fault test_sampling \
+        pvar_study pvar_served pvar_loadgen pvar_storectl pvar_chaos
 ./build-tsan/tests/test_parallel
 ./build-tsan/tests/test_eventloop
 ./build-tsan/tests/test_fault
@@ -343,6 +353,7 @@ cmake --build build-tsan \
 ./build-tsan/tests/test_spec
 ./build-tsan/tests/test_service
 ./build-tsan/tests/test_store
+./build-tsan/tests/test_sampling
 ./build-tsan/pvar_study --soc SD-805 --iterations 1 --jobs 4 --quiet
 ./build-tsan/pvar_study --fleet examples/custom_fleet.json \
     --iterations 1 --jobs 4 --quiet

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "accubench/accubench.hh"
@@ -79,13 +80,17 @@ class LivePointCache
                        const std::string &value) = 0;
 };
 
-/** Process-local LivePointCache (tests, benchmarks). */
+/**
+ * Process-local LivePointCache (tests, benchmarks). Thread-safe: a
+ * crowd study's parallel cohorts share one instance.
+ */
 class MemoryLivePointCache : public LivePointCache
 {
   public:
     bool
     fetch(const std::string &key_text, std::string &out) override
     {
+        std::lock_guard<std::mutex> lock(_mutex);
         auto it = _map.find(key_text);
         if (it == _map.end())
             return false;
@@ -96,12 +101,19 @@ class MemoryLivePointCache : public LivePointCache
     void
     store(const std::string &key_text, const std::string &value) override
     {
+        std::lock_guard<std::mutex> lock(_mutex);
         _map[key_text] = value;
     }
 
-    std::size_t size() const { return _map.size(); }
+    std::size_t
+    size() const
+    {
+        std::lock_guard<std::mutex> lock(_mutex);
+        return _map.size();
+    }
 
   private:
+    mutable std::mutex _mutex;
     std::map<std::string, std::string> _map;
 };
 

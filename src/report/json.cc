@@ -1,5 +1,6 @@
 #include "report/json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -172,13 +173,22 @@ jsonExactDouble(double v)
 {
     if (!std::isfinite(v))
         return "null"; // JSON has no NaN/Inf
+    // to_chars(general, prec) is specified as printf("%.*g") in the C
+    // locale and from_chars as a correctly rounded strtod, so this is
+    // the shortest of %.15g, %.16g and %.17g that parses back to v,
+    // without the formatting and locale overhead of the stdio pair.
+    char buf[32];
+    std::to_chars_result r{};
     for (int prec = 15; prec <= 17; ++prec) {
-        std::string s = strfmt("%.*g", prec, v);
-        if (std::strtod(s.c_str(), nullptr) == v)
-            return s;
+        r = std::to_chars(buf, buf + sizeof(buf), v,
+                          std::chars_format::general, prec);
+        double back = 0.0;
+        std::from_chars(buf, r.ptr, back);
+        if (back == v)
+            break;
     }
-    // Unreachable: 17 significant digits always round-trip a double.
-    return strfmt("%.17g", v);
+    // 17 significant digits always round-trip a double.
+    return std::string(buf, r.ptr);
 }
 
 namespace

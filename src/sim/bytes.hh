@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace pvar
 {
@@ -34,15 +35,19 @@ class ByteWriter
     void
     u32(std::uint32_t v)
     {
+        char b[4];
         for (int i = 0; i < 4; ++i)
-            _out.push_back(static_cast<char>(v >> (8 * i)));
+            b[i] = static_cast<char>(v >> (8 * i));
+        _out.append(b, sizeof(b));
     }
 
     void
     u64(std::uint64_t v)
     {
+        char b[8];
         for (int i = 0; i < 8; ++i)
-            _out.push_back(static_cast<char>(v >> (8 * i)));
+            b[i] = static_cast<char>(v >> (8 * i));
+        _out.append(b, sizeof(b));
     }
 
     void
@@ -66,6 +71,9 @@ class ByteWriter
         _out.append(s);
     }
 
+    /** Pre-size for @p bytes of output (the bytes do not change). */
+    void reserve(std::size_t bytes) { _out.reserve(bytes); }
+
     /** Bytes written so far. */
     std::size_t size() const { return _out.size(); }
 
@@ -79,7 +87,7 @@ class ByteWriter
 class ByteReader
 {
   public:
-    explicit ByteReader(const std::string &bytes) : _bytes(bytes) {}
+    explicit ByteReader(std::string_view bytes) : _bytes(bytes) {}
 
     bool
     u8(std::uint8_t &v)
@@ -144,7 +152,7 @@ class ByteReader
         std::uint32_t len = 0;
         if (!u32(len) || _pos + len > _bytes.size())
             return false;
-        s.assign(_bytes, _pos, len);
+        s.assign(_bytes.data() + _pos, len);
         _pos += len;
         return true;
     }
@@ -168,7 +176,7 @@ class ByteReader
     bool done() const { return _pos == _bytes.size(); }
 
   private:
-    const std::string &_bytes;
+    std::string_view _bytes;
     std::size_t _pos = 0;
 };
 

@@ -37,6 +37,9 @@ class TraceChannel
 
     void record(Time when, double value);
 
+    /** Pre-size for @p n samples (capacity only). */
+    void reserve(std::size_t n) { _samples.reserve(n); }
+
     const std::vector<Sample> &samples() const { return _samples; }
     bool empty() const { return _samples.empty(); }
     std::size_t size() const { return _samples.size(); }

@@ -1,6 +1,8 @@
 #include "store/codec.hh"
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "sim/bytes.hh"
 
@@ -24,12 +26,33 @@ constexpr std::uint32_t kCodecVersion = 2;
  */
 constexpr std::uint64_t kMaxCount = 64u * 1024 * 1024;
 
+/** Wire sizes of the fixed-width records below. */
+constexpr std::size_t kIterationBytes = 8 * 8 + 1;
+constexpr std::size_t kSampleBytes = 8 + 8;
+
+/** Exact byte count encodeExperimentResult() writes for @p result. */
+std::size_t
+encodedSize(const ExperimentResult &result,
+            const std::vector<std::string> &channels)
+{
+    std::size_t n = 4 + 3 * 4 + result.unitId.size() +
+                    result.model.size() + result.socName.size() + 4 +
+                    result.iterations.size() * kIterationBytes + 4;
+    for (const std::string &name : channels) {
+        n += 4 + name.size() + 8 +
+             result.trace.channel(name).size() * kSampleBytes;
+    }
+    return n + 1 + 4 + 1; // v2 supervision outcome
+}
+
 } // namespace
 
 std::string
 encodeExperimentResult(const ExperimentResult &result)
 {
+    std::vector<std::string> channels = result.trace.channelNames();
     ByteWriter w;
+    w.reserve(encodedSize(result, channels));
     w.u32(kCodecVersion);
     w.str(result.unitId);
     w.str(result.model);
@@ -48,7 +71,6 @@ encodeExperimentResult(const ExperimentResult &result)
         w.u8(it.cooldownReachedTarget ? 1 : 0);
     }
 
-    std::vector<std::string> channels = result.trace.channelNames();
     w.u32(static_cast<std::uint32_t>(channels.size()));
     for (const std::string &name : channels) {
         const TraceChannel &ch = result.trace.channel(name);
@@ -68,7 +90,7 @@ encodeExperimentResult(const ExperimentResult &result)
 }
 
 bool
-decodeExperimentResult(const std::string &bytes, ExperimentResult &out)
+decodeExperimentResult(std::string_view bytes, ExperimentResult &out)
 {
     ByteReader r(bytes);
     std::uint32_t version = 0;
@@ -115,6 +137,9 @@ decodeExperimentResult(const std::string &bytes, ExperimentResult &out)
             n_samples > kMaxCount)
             return false;
         TraceChannel &ch = out.trace.channel(name);
+        // A corrupt count cannot reserve more than the bytes present.
+        ch.reserve(std::min<std::uint64_t>(n_samples,
+                                           r.remaining() / kSampleBytes));
         for (std::uint64_t s = 0; s < n_samples; ++s) {
             std::int64_t when = 0;
             double value = 0.0;
@@ -141,7 +166,7 @@ decodeExperimentResult(const std::string &bytes, ExperimentResult &out)
 }
 
 bool
-valueIsLivePoint(const std::string &bytes)
+valueIsLivePoint(std::string_view bytes)
 {
     ByteReader r(bytes);
     std::uint32_t version = 0;
@@ -149,7 +174,7 @@ valueIsLivePoint(const std::string &bytes)
 }
 
 bool
-validateLivePointValue(const std::string &bytes)
+validateLivePointValue(std::string_view bytes)
 {
     ByteReader r(bytes);
     std::uint32_t version = 0;

@@ -31,6 +31,7 @@
 #define PVAR_STORE_CODEC_HH
 
 #include <string>
+#include <string_view>
 
 #include "accubench/result.hh"
 
@@ -44,7 +45,7 @@ std::string encodeExperimentResult(const ExperimentResult &result);
  * Parse a binary value back into @p out. Returns false (leaving @p out
  * unspecified) on any malformed input; never throws.
  */
-bool decodeExperimentResult(const std::string &bytes,
+bool decodeExperimentResult(std::string_view bytes,
                             ExperimentResult &out);
 
 /**
@@ -71,13 +72,13 @@ constexpr std::uint32_t kLivePointVersion = 3;
 constexpr std::uint32_t kMaxLivePointSections = 64;
 
 /** True when @p bytes carries the live-point version tag. */
-bool valueIsLivePoint(const std::string &bytes);
+bool valueIsLivePoint(std::string_view bytes);
 
 /**
  * Structural validation of a live-point value: version tag, section
  * framing, and no trailing bytes. Does not interpret payloads.
  */
-bool validateLivePointValue(const std::string &bytes);
+bool validateLivePointValue(std::string_view bytes);
 
 } // namespace pvar
 

@@ -18,8 +18,9 @@ DurableCache::getOrCompute(
     // The LRU fronts the store: its miss path (run outside its lock)
     // consults the log before paying for a simulation, and a fresh
     // compute is written through so the result survives the process.
-    return _lru.getOrCompute(entry, unit_index, cfg, [&]() {
-        std::string key_text = experimentKeyText(entry, unit_index, cfg);
+    // Both layers share the one key text built here.
+    std::string key_text = experimentKeyText(entry, unit_index, cfg);
+    return _lru.getOrComputeText(key_text, [&]() {
         ExperimentResult result;
         if (_store.get(key_text, result))
             return result;
@@ -34,14 +35,14 @@ DurableCache::lookup(const RegistryEntry &entry,
                      std::size_t unit_index,
                      const ExperimentConfig &cfg, ExperimentResult &out)
 {
-    if (_lru.lookup(entry, unit_index, cfg, out))
+    std::string key_text = experimentKeyText(entry, unit_index, cfg);
+    if (_lru.lookupText(key_text, out))
         return true;
     // LRU miss already counted; consult the log before reporting a
     // miss, and promote a disk hit so repeats stay in memory — the
     // same layering as the getOrCompute miss path.
-    std::string key_text = experimentKeyText(entry, unit_index, cfg);
     if (_store.get(key_text, out)) {
-        _lru.insert(entry, unit_index, cfg, out);
+        _lru.insertText(key_text, out);
         return true;
     }
     return false;
@@ -52,8 +53,9 @@ DurableCache::insert(const RegistryEntry &entry, std::size_t unit_index,
                      const ExperimentConfig &cfg,
                      const ExperimentResult &result)
 {
-    _lru.insert(entry, unit_index, cfg, result);
-    _store.put(experimentKeyText(entry, unit_index, cfg), result);
+    std::string key_text = experimentKeyText(entry, unit_index, cfg);
+    _lru.insertText(key_text, result);
+    _store.put(key_text, result);
 }
 
 void

@@ -1,6 +1,7 @@
 #include "store/record_log.hh"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <vector>
@@ -49,6 +50,32 @@ storeLe32(unsigned char *p, std::uint32_t v)
     p[3] = static_cast<unsigned char>(v >> 24);
 }
 
+/**
+ * IEEE CRC-32 (reflected polynomial 0xedb88320) lookup tables for
+ * slice-by-8: table 0 is the classic bytewise table, and table k
+ * advances a byte's contribution through k further zero bytes.
+ */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables
+makeCrcTables()
+{
+    CrcTables t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+    return t;
+}
+
+constexpr CrcTables kCrcTables = makeCrcTables();
+
 /** pread() exactly @p size bytes; false on EOF, short read, or error. */
 bool
 preadAll(int fd, void *buf, std::size_t size, std::int64_t offset)
@@ -95,22 +122,23 @@ writeAll(int fd, const void *buf, std::size_t size)
 std::uint32_t
 crc32(const void *data, std::size_t size)
 {
-    // Table-driven IEEE CRC-32, table built on first use.
-    static const std::uint32_t *table = [] {
-        static std::uint32_t t[256];
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-
+    // Slice-by-8: eight input bytes per step through kCrcTables, then
+    // the bytewise loop over table 0 for the tail. The result equals
+    // the bytewise CRC of the whole buffer, so existing logs verify
+    // unchanged.
+    const auto &t = kCrcTables;
     std::uint32_t c = 0xffffffffu;
     const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i)
-        c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+    for (; size >= 8; p += 8, size -= 8) {
+        std::uint32_t lo = c ^ loadLe32(p);
+        std::uint32_t hi = loadLe32(p + 4);
+        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+            t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; size > 0; ++p, --size)
+        c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
     return c ^ 0xffffffffu;
 }
 
@@ -120,7 +148,8 @@ RecordLog::recordBytes(std::size_t key_size, std::size_t value_size)
     return kPrefixBytes + 4 + key_size + 4 + value_size;
 }
 
-RecordLog::RecordLog(std::string path, int sync_every)
+RecordLog::RecordLog(std::string path, int sync_every,
+                     const RecordVisitor &on_record)
     : _path(std::move(path)), _syncEvery(sync_every)
 {
     _fd = ::open(_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
@@ -128,7 +157,7 @@ RecordLog::RecordLog(std::string path, int sync_every)
         fatal("record log: cannot open '%s': %s", _path.c_str(),
               std::strerror(errno));
     }
-    recover();
+    recover(on_record);
 }
 
 RecordLog::~RecordLog()
@@ -141,7 +170,7 @@ RecordLog::~RecordLog()
 }
 
 void
-RecordLog::recover()
+RecordLog::recover(const RecordVisitor &on_record)
 {
     struct stat st{};
     if (::fstat(_fd, &st) != 0) {
@@ -202,15 +231,17 @@ RecordLog::recover()
         return;
     }
 
-    // Walk the records, keeping the longest valid prefix. readAt()
-    // bounds-checks against _end, so expose the whole file while
-    // scanning and pull _end back to the last valid record after.
+    // Walk the records, keeping the longest valid prefix and handing
+    // each one to the owner, so opening is a single pass over the
+    // file. readAt() bounds-checks against _end, so expose the whole
+    // file while scanning and pull _end back to the last valid record
+    // after.
     _end = size;
     std::int64_t pos = static_cast<std::int64_t>(kHeaderBytes);
-    while (pos < size) {
-        std::string k, v;
-        if (!readAt(pos, k, v))
-            break;
+    std::string_view k, v;
+    while (pos < size && readAt(pos, k, v)) {
+        if (on_record)
+            on_record(pos, k, v);
         pos += static_cast<std::int64_t>(
             recordBytes(k.size(), v.size()));
         ++_stats.records;
@@ -233,7 +264,7 @@ RecordLog::recover()
 }
 
 std::int64_t
-RecordLog::append(const std::string &key, const std::string &value)
+RecordLog::append(std::string_view key, std::string_view value)
 {
     std::size_t payload_size = 4 + key.size() + 4 + value.size();
     if (payload_size > kMaxPayloadBytes) {
@@ -295,8 +326,8 @@ RecordLog::append(const std::string &key, const std::string &value)
 }
 
 bool
-RecordLog::readAt(std::int64_t offset, std::string &key,
-                  std::string &value) const
+RecordLog::readAt(std::int64_t offset, std::string_view &key,
+                  std::string_view &value)
 {
     if (offset < static_cast<std::int64_t>(kHeaderBytes) ||
         offset + static_cast<std::int64_t>(kPrefixBytes) > _end)
@@ -312,35 +343,36 @@ RecordLog::readAt(std::int64_t offset, std::string &key,
             _end)
         return false;
 
-    std::vector<unsigned char> payload(length);
-    if (!preadAll(_fd, payload.data(), length,
-                  offset + static_cast<std::int64_t>(kPrefixBytes)))
+    if (_readBuf.size() < length)
+        _readBuf.resize(length);
+    const unsigned char *bytes = _readBuf.data();
+    if (!preadAll(_fd, _readBuf.data(), length,
+                  offset + static_cast<std::int64_t>(kPrefixBytes)) ||
+        crc32(bytes, length) != want_crc) {
+        // A corrupt length may have grown the buffer far past any real
+        // record; do not keep that much memory for the log's lifetime.
+        std::vector<unsigned char>().swap(_readBuf);
         return false;
-    if (crc32(payload.data(), length) != want_crc)
-        return false;
+    }
 
-    std::uint32_t key_len = loadLe32(payload.data());
+    std::uint32_t key_len = loadLe32(bytes);
     if (key_len > length - 8)
         return false;
-    std::uint32_t value_len = loadLe32(payload.data() + 4 + key_len);
+    std::uint32_t value_len = loadLe32(bytes + 4 + key_len);
     if (static_cast<std::uint64_t>(key_len) + value_len + 8 != length)
         return false;
 
-    key.assign(reinterpret_cast<char *>(payload.data()) + 4, key_len);
-    value.assign(
-        reinterpret_cast<char *>(payload.data()) + 8 + key_len,
-        value_len);
+    const char *text = reinterpret_cast<const char *>(bytes);
+    key = std::string_view(text + 4, key_len);
+    value = std::string_view(text + 8 + key_len, value_len);
     return true;
 }
 
 void
-RecordLog::scan(const std::function<void(std::int64_t,
-                                         const std::string &,
-                                         const std::string &)> &fn)
-    const
+RecordLog::scan(const RecordVisitor &fn)
 {
     std::int64_t pos = static_cast<std::int64_t>(kHeaderBytes);
-    std::string key, value;
+    std::string_view key, value;
     while (pos < _end && readAt(pos, key, value)) {
         fn(pos, key, value);
         pos += static_cast<std::int64_t>(

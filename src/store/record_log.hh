@@ -9,7 +9,9 @@
  * file, keeps the longest prefix of valid records, and truncates the
  * rest. A record that survives recovery round-trips bit-identically —
  * the CRC covers every payload byte — and a record that does not
- * simply vanishes, which callers treat as "recompute".
+ * simply vanishes, which callers treat as "recompute". The recovery
+ * scan hands every valid record to an optional visitor, so an owner
+ * builds its index in the same single pass over the file.
  *
  * Byte-level format (all integers little-endian; see DESIGN.md §2.4):
  *
@@ -31,12 +33,22 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace pvar
 {
 
 /** IEEE 802.3 CRC-32 (the zlib/PNG polynomial) of @p size bytes. */
 std::uint32_t crc32(const void *data, std::size_t size);
+
+/**
+ * Called with a valid record's file offset, key and value. The views
+ * point into the log's read buffer and are valid only for the call.
+ */
+using RecordVisitor = std::function<void(std::int64_t offset,
+                                         std::string_view key,
+                                         std::string_view value)>;
 
 /** Counters describing one opened log. */
 struct RecordLogStats
@@ -61,9 +73,12 @@ class RecordLog
      * Open (creating if absent) the log at @p path, recovering from
      * any torn tail. @p sync_every batches fsyncs: 1 syncs every
      * append, N syncs every Nth, 0 leaves durability to the OS.
-     * Fatal when the file cannot be created or opened.
+     * @p on_record (may be empty) sees every record that survives
+     * recovery, in file order. Fatal when the file cannot be created
+     * or opened.
      */
-    explicit RecordLog(std::string path, int sync_every = 8);
+    explicit RecordLog(std::string path, int sync_every = 8,
+                       const RecordVisitor &on_record = {});
     ~RecordLog();
 
     RecordLog(const RecordLog &) = delete;
@@ -74,26 +89,23 @@ class RecordLog
      * prefix). Returns -1 and warns on I/O failure — the caller
      * degrades to compute-only operation.
      */
-    std::int64_t append(const std::string &key,
-                        const std::string &value);
+    std::int64_t append(std::string_view key, std::string_view value);
 
     /**
      * Read the record at @p offset (as returned by append() or
      * scan()). Returns false — never throws, never crashes — on any
-     * structural or checksum failure.
+     * structural or checksum failure. On success @p key and @p value
+     * view the log's read buffer, valid until the next read.
      */
-    bool readAt(std::int64_t offset, std::string &key,
-                std::string &value) const;
+    bool readAt(std::int64_t offset, std::string_view &key,
+                std::string_view &value);
 
     /**
      * Visit every valid record in file order. Stops at the first
      * invalid record (by construction only a recovered-then-appended
      * file has none). The callback gets the record's offset.
      */
-    void scan(const std::function<void(std::int64_t offset,
-                                       const std::string &key,
-                                       const std::string &value)> &fn)
-        const;
+    void scan(const RecordVisitor &fn);
 
     /**
      * Flush batched appends to disk now (fsync). A failed fsync is a
@@ -125,8 +137,11 @@ class RecordLog
     std::int64_t _end = 0; ///< append position (file size)
     bool _degraded = false;
     RecordLogStats _stats;
+    // One payload buffer for every read: it grows to the largest
+    // record once, so reads neither allocate nor zero-fill after.
+    std::vector<unsigned char> _readBuf;
 
-    void recover();
+    void recover(const RecordVisitor &on_record);
 };
 
 } // namespace pvar

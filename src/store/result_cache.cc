@@ -154,7 +154,7 @@ livePointKeyText(const RegistryEntry &entry, std::size_t unit_index,
 }
 
 std::string
-contentDigest(const std::string &text)
+contentDigest(std::string_view text)
 {
     // Two decorrelated FNV-1a passes; the canonical text is verified
     // on every hit, so a digest collision degrades to a miss rather
@@ -186,36 +186,46 @@ ResultCache::getOrCompute(const RegistryEntry &entry,
                           const ExperimentConfig &cfg,
                           const std::function<ExperimentResult()> &compute)
 {
-    std::string key_text = experimentKeyText(entry, unit_index, cfg);
-    std::string digest = contentDigest(key_text);
-
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        auto it = _index.find(digest);
-        if (it != _index.end() && it->second->keyText == key_text) {
-            ++_hits;
-            _lru.splice(_lru.begin(), _lru, it->second);
-            debug("result-cache: hit %s", digest.c_str());
-            return it->second->result;
-        }
-        ++_misses;
-    }
-
-    // Simulate outside the lock; concurrent misses on the same key
-    // both compute (identical results by determinism) instead of one
-    // worker blocking the rest.
-    ExperimentResult result = compute();
-
-    std::lock_guard<std::mutex> lock(_mutex);
-    insertLocked(std::move(digest), std::move(key_text), result);
-    return result;
+    return getOrComputeText(experimentKeyText(entry, unit_index, cfg),
+                            compute);
 }
 
 bool
 ResultCache::lookup(const RegistryEntry &entry, std::size_t unit_index,
                     const ExperimentConfig &cfg, ExperimentResult &out)
 {
-    std::string key_text = experimentKeyText(entry, unit_index, cfg);
+    return lookupText(experimentKeyText(entry, unit_index, cfg), out);
+}
+
+void
+ResultCache::insert(const RegistryEntry &entry, std::size_t unit_index,
+                    const ExperimentConfig &cfg,
+                    const ExperimentResult &result)
+{
+    insertText(experimentKeyText(entry, unit_index, cfg), result);
+}
+
+ExperimentResult
+ResultCache::getOrComputeText(
+    const std::string &key_text,
+    const std::function<ExperimentResult()> &compute)
+{
+    ExperimentResult result;
+    if (lookupText(key_text, result))
+        return result;
+
+    // Simulate outside the lock; concurrent misses on the same key
+    // both compute (identical results by determinism) instead of one
+    // worker blocking the rest.
+    result = compute();
+    insertText(key_text, result);
+    return result;
+}
+
+bool
+ResultCache::lookupText(const std::string &key_text,
+                        ExperimentResult &out)
+{
     std::string digest = contentDigest(key_text);
 
     std::lock_guard<std::mutex> lock(_mutex);
@@ -232,31 +242,22 @@ ResultCache::lookup(const RegistryEntry &entry, std::size_t unit_index,
 }
 
 void
-ResultCache::insert(const RegistryEntry &entry, std::size_t unit_index,
-                    const ExperimentConfig &cfg,
-                    const ExperimentResult &result)
+ResultCache::insertText(const std::string &key_text,
+                        const ExperimentResult &result)
 {
-    std::string key_text = experimentKeyText(entry, unit_index, cfg);
     std::string digest = contentDigest(key_text);
 
     std::lock_guard<std::mutex> lock(_mutex);
-    insertLocked(std::move(digest), std::move(key_text), result);
-}
-
-void
-ResultCache::insertLocked(std::string digest, std::string key_text,
-                          const ExperimentResult &result)
-{
     auto it = _index.find(digest);
     if (it != _index.end()) {
         // Concurrent miss already inserted (or a digest collision is
         // being replaced): refresh the entry in place.
-        it->second->keyText = std::move(key_text);
+        it->second->keyText = key_text;
         it->second->result = result;
         _lru.splice(_lru.begin(), _lru, it->second);
         return;
     }
-    _lru.push_front(Node{digest, std::move(key_text), result});
+    _lru.push_front(Node{digest, key_text, result});
     _index.emplace(std::move(digest), _lru.begin());
     while (_lru.size() > _capacity) {
         _index.erase(_lru.back().digest);

@@ -12,6 +12,12 @@
  * file, or repeated requests against a long-running pvar_served — are
  * simulated once and served from memory thereafter.
  *
+ * Building the key text is the expensive part of a probe (every double
+ * of the spec goes through jsonExactDouble), so each cache call builds
+ * it once: the (entry, unit, cfg) entry points are one-line wrappers
+ * over the key-text ones, and layered caches (DurableCache) build the
+ * text once and hand it to both the LRU and the store.
+ *
  * Because experiments are deterministic, a cache hit returns the same
  * bytes a fresh simulation would produce; the determinism tests pin
  * cold run ≡ warm run at any jobs count. Entries are LRU-bounded, the
@@ -27,6 +33,7 @@
 #include <list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "accubench/protocol.hh"
@@ -59,7 +66,7 @@ std::string livePointKeyText(const RegistryEntry &entry,
                              const ExperimentConfig &cfg);
 
 /** 128-bit FNV-1a digest of @p text, as 32 hex characters. */
-std::string contentDigest(const std::string &text);
+std::string contentDigest(std::string_view text);
 
 /** Counters for /healthz and the cache tests. */
 struct ResultCacheStats
@@ -107,6 +114,22 @@ class ResultCache : public ExperimentCache
                 const ExperimentResult &result) override;
     /** @} */
 
+    /**
+     * @name Key-text entry points
+     * The same three operations on a key built by experimentKeyText(),
+     * for callers that already hold it.
+     * @{
+     */
+    ExperimentResult getOrComputeText(
+        const std::string &key_text,
+        const std::function<ExperimentResult()> &compute);
+
+    bool lookupText(const std::string &key_text, ExperimentResult &out);
+
+    void insertText(const std::string &key_text,
+                    const ExperimentResult &result);
+    /** @} */
+
     ResultCacheStats stats() const;
 
     /** Drop all entries (counters keep accumulating). */
@@ -127,9 +150,6 @@ class ResultCache : public ExperimentCache
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;
     std::uint64_t _evictions = 0;
-
-    void insertLocked(std::string digest, std::string key_text,
-                      const ExperimentResult &result);
 };
 
 } // namespace pvar

@@ -50,9 +50,7 @@ ExperimentStore::ExperimentStore(const std::string &dir, int sync_every)
     : _dir(dir), _syncEvery(sync_every)
 {
     makeDirs(_dir);
-    _log = std::make_unique<RecordLog>(_dir + "/" + kLogName,
-                                       _syncEvery);
-    rebuildIndexLocked();
+    openLogLocked(_dir + "/" + kLogName);
     struct stat marker{};
     _markerOnDisk = ::stat(markerPath().c_str(), &marker) == 0;
     if (_markerOnDisk) {
@@ -81,21 +79,32 @@ ExperimentStore::ExperimentStore(const std::string &dir, int sync_every)
 }
 
 void
-ExperimentStore::rebuildIndexLocked()
+ExperimentStore::openLogLocked(const std::string &path)
 {
     _index.clear();
     _livePointSizes.clear();
-    // Later records supersede earlier ones: the scan runs in file
-    // order, so the last insert per digest wins (and the kind tally
-    // follows whichever record kind won).
-    _log->scan([this](std::int64_t offset, const std::string &key,
-                      const std::string &value) {
-        std::string digest = contentDigest(key);
-        _index[digest] = offset;
+    // Recovery visits every surviving record once, in file order, and
+    // the index is built from that same pass.
+    _log = std::make_unique<RecordLog>(
+        path, _syncEvery,
+        [this](std::int64_t offset, std::string_view key,
+               std::string_view value) {
+            indexLocked(key, offset, value);
+        });
+}
+
+void
+ExperimentStore::indexLocked(std::string_view key_text,
+                             std::int64_t offset, std::string_view value)
+{
+    // The last record per digest wins, and the kind tally follows
+    // whichever record kind won.
+    std::string digest = contentDigest(key_text);
+    _index[digest] = offset;
+    if (valueIsLivePoint(value))
+        _livePointSizes[digest] = value.size();
+    else
         _livePointSizes.erase(digest);
-        if (valueIsLivePoint(value))
-            _livePointSizes[digest] = value.size();
-    });
 }
 
 bool
@@ -114,7 +123,7 @@ ExperimentStore::get(const std::string &key_text, ExperimentResult &out)
         ++_misses;
         return false;
     }
-    std::string key, value;
+    std::string_view key, value;
     if (!_log->readAt(it->second, key, value) || key != key_text ||
         !decodeExperimentResult(value, out)) {
         // Collision or corruption: forget the entry so the caller's
@@ -142,7 +151,7 @@ ExperimentStore::getBytes(const std::string &key_text, std::string &out)
         ++_misses;
         return false;
     }
-    std::string key, value;
+    std::string_view key, value;
     if (!_log->readAt(it->second, key, value) || key != key_text ||
         !validateLivePointValue(value)) {
         // Same ladder as get(): a digest collision, a corrupt value,
@@ -154,7 +163,7 @@ ExperimentStore::getBytes(const std::string &key_text, std::string &out)
         return false;
     }
     ++_hits;
-    out = std::move(value);
+    out.assign(value);
     return true;
 }
 
@@ -175,9 +184,7 @@ ExperimentStore::putBytes(const std::string &key_text,
         noteDegradedLocked();
         return;
     }
-    std::string digest = contentDigest(key_text);
-    _index[digest] = offset;
-    _livePointSizes[digest] = value.size();
+    indexLocked(key_text, offset, value);
     if (_markerOnDisk)
         clearMarkerLocked();
 }
@@ -195,9 +202,7 @@ ExperimentStore::put(const std::string &key_text,
         noteDegradedLocked();
         return;
     }
-    std::string digest = contentDigest(key_text);
-    _index[digest] = offset;
-    _livePointSizes.erase(digest); // a result superseded this digest
+    indexLocked(key_text, offset, value);
     if (_markerOnDisk) {
         // A clean write through the full path: the earlier session's
         // degradation no longer describes this directory.
@@ -229,8 +234,8 @@ ExperimentStore::compact()
     ::remove(tmp_path.c_str());
     {
         RecordLog fresh(tmp_path, /*sync_every=*/0);
-        _log->scan([&](std::int64_t offset, const std::string &key,
-                       const std::string &value) {
+        _log->scan([&](std::int64_t offset, std::string_view key,
+                       std::string_view value) {
             auto it = _index.find(contentDigest(key));
             if (it == _index.end() || it->second != offset)
                 return; // superseded or already dropped
@@ -269,8 +274,7 @@ ExperimentStore::compact()
     }
 
     std::string live_path = _log->path();
-    _log = std::make_unique<RecordLog>(live_path, _syncEvery);
-    rebuildIndexLocked();
+    openLogLocked(live_path);
     if (_log->degraded())
         noteDegradedLocked();
     return before.records - _log->stats().records;
@@ -283,8 +287,8 @@ ExperimentStore::forEach(
     std::uint64_t *bad, std::uint64_t *live_points)
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    _log->scan([&](std::int64_t offset, const std::string &key,
-                   const std::string &value) {
+    _log->scan([&](std::int64_t offset, std::string_view key,
+                   std::string_view value) {
         auto it = _index.find(contentDigest(key));
         if (it == _index.end() || it->second != offset)
             return; // superseded
@@ -303,7 +307,7 @@ ExperimentStore::forEach(
                 ++*bad;
             return;
         }
-        fn(key, result);
+        fn(std::string(key), result);
     });
 }
 

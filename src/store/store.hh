@@ -5,10 +5,11 @@
  * JSON the in-memory ResultCache already hashes) to a persisted
  * ExperimentResult, backed by an append-only RecordLog.
  *
- * On open, the log is recovered (torn tail truncated) and scanned
- * once to rebuild an in-memory index of content digest → file offset;
- * later records supersede earlier ones with the same digest, exactly
- * like the LRU's overwrite semantics. Every read re-verifies the full
+ * On open, the log's recovery scan (torn tail truncated) feeds each
+ * surviving record to the in-memory index of content digest → file
+ * offset, so opening reads the file once; later records supersede
+ * earlier ones with the same digest, exactly like the LRU's overwrite
+ * semantics. Every read re-verifies the full
  * key text against the caller's key and re-decodes through the
  * checksummed log, so a digest collision or on-disk corruption
  * degrades to a miss — never a wrong result.
@@ -29,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "accubench/result.hh"
@@ -150,7 +152,11 @@ class ExperimentStore
     bool _degraded = false;     ///< this session hit an I/O failure
     bool _markerOnDisk = false; ///< marker file currently exists
 
-    void rebuildIndexLocked();
+    /** (Re)open the log at @p path, indexing it during recovery. */
+    void openLogLocked(const std::string &path);
+    /** Point the index at the record for @p key_text at @p offset. */
+    void indexLocked(std::string_view key_text, std::int64_t offset,
+                     std::string_view value);
     void noteDegradedLocked();
     void clearMarkerLocked();
 };

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <ostream>
 
 #include "silicon/die.hh"
 #include "silicon/process_node.hh"
@@ -152,15 +153,28 @@ TEST(Die, LeakagePowerIsVTimesI)
                 v.value() * d.leakageCurrent(v, t).value(), 1e-12);
 }
 
+struct NodeCase
+{
+    const char *tag;
+    ProcessNode (*make)();
+};
+
+// Print the tag, not the function address, so that the test names are
+// the same in every build.
+void
+PrintTo(const NodeCase &c, std::ostream *os)
+{
+    *os << c.tag;
+}
+
 /** Property: the speed/leakage/power relations hold on every node. */
-class DieNodeSweep
-    : public ::testing::TestWithParam<ProcessNode (*)()>
+class DieNodeSweep : public ::testing::TestWithParam<NodeCase>
 {
 };
 
 TEST_P(DieNodeSweep, CoupledSpeedAndLeakInvariants)
 {
-    ProcessNode node = GetParam()();
+    ProcessNode node = GetParam().make();
     Die d(node, DieParams{"x", 1.0, 1.0, 0.0});
 
     // fmax at vMax must exceed fmax at vMin.
@@ -175,9 +189,11 @@ TEST_P(DieNodeSweep, CoupledSpeedAndLeakInvariants)
               0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Nodes, DieNodeSweep,
-                         ::testing::Values(&node28nmHPm, &node20nmSoC,
-                                           &node14nmFinFET));
+INSTANTIATE_TEST_SUITE_P(
+    Nodes, DieNodeSweep,
+    ::testing::Values(NodeCase{"28nmHPm", &node28nmHPm},
+                      NodeCase{"20nmSoC", &node20nmSoC},
+                      NodeCase{"14nmFinFET", &node14nmFinFET}));
 
 } // namespace
 } // namespace pvar

@@ -7,8 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "report/json.hh"
 
@@ -213,6 +220,93 @@ TEST(JsonExactDouble, ParsesBackThroughParser)
         JsonValue parsed = parseOk(jsonExactDouble(v));
         EXPECT_EQ(parsed.asNumber(), v);
     }
+}
+
+namespace
+{
+
+/**
+ * Reference rendering through stdio: the shortest of %.15g, %.16g and
+ * %.17g that strtod parses back to @p v. Stored cache keys and report
+ * bytes are defined by it, so jsonExactDouble() must match it byte
+ * for byte.
+ */
+std::string
+referenceExactDouble(double v)
+{
+    char buf[64];
+    for (int prec = 15; prec <= 17; ++prec) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            return buf;
+    }
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+} // namespace
+
+TEST(JsonExactDouble, MatchesStdioReferenceOnRandomDoubles)
+{
+    // Half raw bit patterns (mostly 17-digit renderings), half short
+    // decimals across the exponent range (15- and 16-digit ones).
+    std::mt19937_64 rng(20261016);
+    std::uniform_int_distribution<int> digits(1, 17);
+    std::uniform_int_distribution<int> exponent(-40, 40);
+    std::size_t checked = 0;
+    for (int i = 0; i < 500000; ++i) {
+        std::uint64_t bits = rng();
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        if (!std::isfinite(v))
+            continue;
+        ASSERT_EQ(jsonExactDouble(v), referenceExactDouble(v));
+        ++checked;
+    }
+    for (int i = 0; i < 500000; ++i) {
+        std::string text = std::to_string(rng() % 100000000000000000ull)
+                               .substr(0, static_cast<std::size_t>(
+                                              digits(rng))) +
+                           "e" + std::to_string(exponent(rng));
+        double v = std::strtod(text.c_str(), nullptr);
+        if (rng() & 1)
+            v = -v;
+        ASSERT_EQ(jsonExactDouble(v), referenceExactDouble(v)) << text;
+        ++checked;
+    }
+    EXPECT_GE(checked, 990000u);
+}
+
+TEST(JsonExactDouble, MatchesStdioReferenceOnEdgeCases)
+{
+    std::vector<double> values = {
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        2.2250738585072009e-308, // largest subnormal
+        1.5e-315,
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::epsilon(),
+    };
+    // %g switches between fixed and exponent form below 1e-4 and at
+    // 1e15, 1e16 and 1e17 for precisions 15, 16 and 17: check powers
+    // of ten and their neighbours on both sides of every switch.
+    for (int e : {-7, -6, -5, -4, -3, 13, 14, 15, 16, 17, 18, 19}) {
+        double p = std::pow(10.0, e);
+        for (double v : {p, std::nextafter(p, 0.0),
+                         std::nextafter(p, HUGE_VAL), 0.99999999999999 * p,
+                         9.999999999999999 * p / 10.0})
+            values.push_back(v);
+    }
+    for (double v : std::vector<double>(values)) {
+        values.push_back(-v);
+        if (v != 0.0)
+            values.push_back(v / 3.0);
+    }
+    for (double v : values)
+        EXPECT_EQ(jsonExactDouble(v), referenceExactDouble(v)) << v;
 }
 
 // ---------------------------------------------------------------------

@@ -355,6 +355,25 @@ TEST(LivePoints, WarmRerunIsByteIdenticalAndActuallyRestores)
     EXPECT_EQ(cache.stores, 32u);
 }
 
+TEST(LivePoints, SharedMemoryCacheAcrossParallelCohorts)
+{
+    // Four workers run narrow cohorts side by side, so fetches and
+    // stores from different dies hit the one shared cache at once.
+    CrowdStudyConfig cfg = quickStudy(1024, 12, 16, 4);
+    cfg.jobs = 4;
+    cfg.batch = 4;
+    std::string uncached = crowdStudyJson(runCrowdStudy(cfg));
+
+    MemoryLivePointCache cache;
+    cfg.livePoints = &cache;
+    std::string cold = crowdStudyJson(runCrowdStudy(cfg));
+    EXPECT_EQ(cache.size(), 64u);
+    std::string warm = crowdStudyJson(runCrowdStudy(cfg));
+    EXPECT_EQ(cache.size(), 64u);
+    EXPECT_EQ(cold, uncached);
+    EXPECT_EQ(warm, cold);
+}
+
 TEST(LivePoints, CorruptCheckpointsDegradeToColdStart)
 {
     CrowdStudyConfig cfg = quickStudy(128, 6, 4, 3);

@@ -17,8 +17,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <sys/stat.h>
@@ -28,6 +31,7 @@
 #include "device/registry.hh"
 #include "fault/fault.hh"
 #include "report/json.hh"
+#include "sim/bytes.hh"
 #include "sim/logging.hh"
 #include "store/codec.hh"
 #include "store/durable_cache.hh"
@@ -119,6 +123,45 @@ makeResult(int seed)
     return r;
 }
 
+/**
+ * Bytewise IEEE CRC-32, one table lookup per byte: the oracle that
+ * the slice-by-8 crc32() must reproduce exactly, so a log written
+ * with either checksum verifies under the other.
+ */
+std::uint32_t
+referenceCrc32(const void *data, std::size_t size)
+{
+    std::uint32_t table[256];
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        table[i] = c;
+    }
+    std::uint32_t c = 0xffffffffu;
+    const unsigned char *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < size; ++i)
+        c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+    return c ^ 0xffffffffu;
+}
+
+/** A structurally valid live-point value (codec v3) carrying @p body. */
+std::string
+makeLivePointValue(const std::string &body)
+{
+    ByteWriter sections;
+    sections.u32(1); // n_sections
+    sections.u32(7); // tag
+    sections.str(body);
+    std::string framed = sections.take();
+    ByteWriter w;
+    w.u32(kLivePointVersion);
+    w.u64(fnv1a64(framed.data(), framed.size()));
+    std::string value = w.take() + framed;
+    EXPECT_TRUE(validateLivePointValue(value));
+    return value;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -133,6 +176,29 @@ TEST(Crc32, MatchesKnownVectors)
     EXPECT_EQ(crc32("a", 1), 0xe8b7be43u);
     // Single-bit sensitivity.
     EXPECT_NE(crc32("1234567890", 10), crc32("1234567891", 10));
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
+{
+    // Pseudo-random bytes, so every table entry is exercised. The
+    // eight start offsets cover every alignment of the 8-byte steps,
+    // and the lengths cover every tail the step loop can leave.
+    constexpr std::size_t kMaxLen = 4096;
+    std::vector<unsigned char> buf(kMaxLen + 8);
+    std::uint32_t x = 2463534242u;
+    for (unsigned char &b : buf) {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        b = static_cast<unsigned char>(x);
+    }
+    for (std::size_t align = 0; align < 8; ++align) {
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+            const unsigned char *p = buf.data() + align;
+            ASSERT_EQ(crc32(p, len), referenceCrc32(p, len))
+                << "length " << len << " at offset " << align;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -226,7 +292,7 @@ TEST(RecordLog, AppendReadScanReopen)
         EXPECT_EQ(log.stats().appends, 3u);
         EXPECT_GE(log.stats().syncs, 3u);
 
-        std::string k, v;
+        std::string_view k, v;
         ASSERT_TRUE(log.readAt(offsets[1], k, v));
         EXPECT_EQ(k, "key-b");
         EXPECT_EQ(v, std::string(1000, 'b'));
@@ -236,16 +302,77 @@ TEST(RecordLog, AppendReadScanReopen)
     EXPECT_EQ(reopened.stats().records, 3u);
     EXPECT_EQ(reopened.stats().truncatedBytes, 0u);
     std::vector<std::string> keys;
-    reopened.scan([&](std::int64_t offset, const std::string &k,
-                      const std::string &v) {
-        keys.push_back(k);
-        std::string k2, v2;
+    reopened.scan([&](std::int64_t offset, std::string_view k,
+                      std::string_view v) {
+        // A read reuses the buffer k and v view: copy them first.
+        keys.emplace_back(k);
+        std::string value(v);
+        std::string_view k2, v2;
         EXPECT_TRUE(reopened.readAt(offset, k2, v2));
-        EXPECT_EQ(k2, k);
-        EXPECT_EQ(v2, v);
+        EXPECT_EQ(k2, keys.back());
+        EXPECT_EQ(v2, value);
     });
     EXPECT_EQ(keys,
               (std::vector<std::string>{"key-a", "key-b", ""}));
+}
+
+TEST(RecordLog, ReopensLogWrittenWithReferenceCrc)
+{
+    // Lay down a log byte by byte with the bytewise reference CRC, as
+    // every earlier build wrote it: it must reopen with nothing
+    // truncated and every record intact, both as a raw log and as the
+    // store behind --cache-dir.
+    QuietLog quiet;
+    std::string dir = freshDir("reference_crc");
+    std::vector<std::string> keys, values;
+    for (int i = 0; i < 5; ++i) {
+        keys.push_back("{\"experiment\": \"ref-" + std::to_string(i) +
+                       "\"}");
+        values.push_back(encodeExperimentResult(makeResult(i)));
+    }
+    keys.push_back("odd-sized");
+    values.push_back(std::string(13, 'v'));
+
+    std::string file = "PVARLOG1";
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        ByteWriter payload;
+        payload.str(keys[i]);
+        payload.str(values[i]);
+        std::string bytes = payload.take();
+        ByteWriter prefix;
+        prefix.u32(static_cast<std::uint32_t>(bytes.size()));
+        prefix.u32(referenceCrc32(bytes.data(), bytes.size()));
+        file += prefix.take() + bytes;
+    }
+    std::string path = dir + "/experiments.log";
+    writeFileBytes(path, file);
+
+    {
+        RecordLog log(path);
+        EXPECT_EQ(log.stats().records, keys.size());
+        EXPECT_EQ(log.stats().truncatedBytes, 0u);
+        EXPECT_EQ(log.stats().bytes, file.size());
+        std::size_t idx = 0;
+        log.scan([&](std::int64_t, std::string_view k,
+                     std::string_view v) {
+            ASSERT_LT(idx, keys.size());
+            EXPECT_EQ(k, keys[idx]);
+            EXPECT_EQ(v, values[idx]);
+            ++idx;
+        });
+        EXPECT_EQ(idx, keys.size());
+    }
+    EXPECT_EQ(readFile(path), file) << "recovery must not rewrite it";
+
+    ExperimentStore store(dir);
+    EXPECT_EQ(store.stats().truncatedBytes, 0u);
+    for (std::size_t i = 0; i < 5; ++i) {
+        ExperimentResult out;
+        ASSERT_TRUE(store.get(keys[i], out));
+        EXPECT_EQ(encodeExperimentResult(out), values[i]);
+    }
+    EXPECT_EQ(store.stats().hits, 5u);
+    EXPECT_EQ(store.stats().misses, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -299,8 +426,8 @@ expectLongestValidPrefix(const GoldenLog &g, const std::string &path,
     ASSERT_LE(s.records, max_survivors);
 
     std::size_t idx = 0;
-    log.scan([&](std::int64_t, const std::string &k,
-                 const std::string &v) {
+    log.scan([&](std::int64_t, std::string_view k,
+                 std::string_view v) {
         ASSERT_LT(idx, g.keys.size());
         EXPECT_EQ(k, g.keys[idx]);
         EXPECT_EQ(v, g.values[idx]);
@@ -358,8 +485,8 @@ TEST(RecordLogFaultInjection, DropsFinalRecordOnAnyBitFlip)
             EXPECT_EQ(log.stats().records, 2u)
                 << "bit flip at byte " << pos;
             std::size_t idx = 0;
-            log.scan([&](std::int64_t, const std::string &k,
-                         const std::string &v) {
+            log.scan([&](std::int64_t, std::string_view k,
+                         std::string_view v) {
                 ASSERT_LT(idx, 2u);
                 EXPECT_EQ(k, g.keys[idx]);
                 EXPECT_EQ(v, g.values[idx]);
@@ -478,6 +605,90 @@ TEST(ExperimentStore, CompactionDropsSupersededAndOrphaned)
     ExperimentStore reopened(dir);
     EXPECT_EQ(reopened.stats().records, 2u);
     EXPECT_EQ(reopened.stats().truncatedBytes, 0u);
+}
+
+TEST(ExperimentStore, SingleScanOpenMatchesTwoPassReference)
+{
+    QuietLog quiet;
+    std::string dir = freshDir("single_scan");
+    std::string superseded = "{\"experiment\": \"superseded\"}";
+    std::string other = "{\"experiment\": \"other\"}";
+    std::string live_key = "{\"live_point\": \"die-0\"}";
+    std::string live_value = makeLivePointValue(std::string(300, 'p'));
+    {
+        ExperimentStore store(dir);
+        store.put(superseded, makeResult(0));
+        store.putBytes(live_key, live_value);
+        store.put(superseded, makeResult(1));
+        store.put(other, makeResult(2));
+        store.sync();
+    }
+
+    // Tear the tail: the first 40 bytes of a record whose length
+    // prefix promises far more.
+    std::string log_path = dir + "/experiments.log";
+    std::string bytes = readFile(log_path);
+    std::string torn = bytes + bytes.substr(8, 40);
+    writeFileBytes(log_path, torn);
+
+    // The two-pass reference, on a copy: recover the log, then scan
+    // the survivors into a digest index and live-point tally.
+    std::string ref_path = dir + "/test.log";
+    writeFileBytes(ref_path, torn);
+    RecordLog ref(ref_path);
+    std::set<std::string> digests;
+    std::map<std::string, std::uint64_t> live_sizes;
+    ref.scan([&](std::int64_t, std::string_view k,
+                 std::string_view v) {
+        std::string digest = contentDigest(k);
+        digests.insert(digest);
+        live_sizes.erase(digest);
+        if (valueIsLivePoint(v))
+            live_sizes[digest] = v.size();
+    });
+    std::uint64_t live_bytes = 0;
+    for (const auto &[digest, size] : live_sizes)
+        live_bytes += size;
+
+    ExperimentStore store(dir);
+    ExperimentStoreStats s = store.stats();
+    EXPECT_EQ(s.records, digests.size());
+    EXPECT_EQ(s.logRecords, ref.stats().records);
+    EXPECT_EQ(s.livePointRecords, live_sizes.size());
+    EXPECT_EQ(s.livePointBytes, live_bytes);
+    EXPECT_EQ(s.truncatedBytes, ref.stats().truncatedBytes);
+    // And the reference itself saw what the log holds.
+    EXPECT_EQ(s.records, 3u);
+    EXPECT_EQ(s.logRecords, 4u);
+    EXPECT_EQ(s.livePointRecords, 1u);
+    EXPECT_EQ(s.livePointBytes, live_value.size());
+    EXPECT_EQ(s.truncatedBytes, 40u);
+
+    // Compaction drops the superseded result; the index rebuilt from
+    // the compacted log's recovery scan still serves every record.
+    EXPECT_EQ(store.compact(), 1u);
+    s = store.stats();
+    EXPECT_EQ(s.records, 3u);
+    EXPECT_EQ(s.logRecords, 3u);
+    EXPECT_EQ(s.livePointRecords, 1u);
+    EXPECT_EQ(s.livePointBytes, live_value.size());
+
+    ExperimentStore reopened(dir);
+    s = reopened.stats();
+    EXPECT_EQ(s.records, 3u);
+    EXPECT_EQ(s.logRecords, 3u);
+    EXPECT_EQ(s.livePointRecords, 1u);
+    EXPECT_EQ(s.truncatedBytes, 0u);
+    ExperimentResult out;
+    ASSERT_TRUE(reopened.get(superseded, out));
+    EXPECT_EQ(encodeExperimentResult(out),
+              encodeExperimentResult(makeResult(1)));
+    ASSERT_TRUE(reopened.get(other, out));
+    EXPECT_EQ(encodeExperimentResult(out),
+              encodeExperimentResult(makeResult(2)));
+    std::string live_out;
+    ASSERT_TRUE(reopened.getBytes(live_key, live_out));
+    EXPECT_EQ(live_out, live_value);
 }
 
 TEST(ExperimentStore, EnospcDuringCompactionAbortsAndKeepsOriginal)

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <ostream>
 
 #include "silicon/process_node.hh"
 #include "silicon/variation_model.hh"
@@ -107,15 +108,28 @@ TEST(VariationModel, TypicalCornerIsNominal)
     EXPECT_DOUBLE_EQ(d.params().leakFactor, 1.0);
 }
 
+struct NodeCase
+{
+    const char *tag;
+    ProcessNode (*make)();
+};
+
+// Print the tag, not the function address, so that the test names are
+// the same in every build.
+void
+PrintTo(const NodeCase &c, std::ostream *os)
+{
+    *os << c.tag;
+}
+
 /** Property: the leakage spread dwarfs the speed spread on all nodes. */
-class VariationNodeSweep
-    : public ::testing::TestWithParam<ProcessNode (*)()>
+class VariationNodeSweep : public ::testing::TestWithParam<NodeCase>
 {
 };
 
 TEST_P(VariationNodeSweep, LeakSpreadExceedsSpeedSpread)
 {
-    VariationModel m(GetParam()());
+    VariationModel m(GetParam().make());
     Rng rng(13);
     auto lot = m.sampleLot(rng, 1000);
 
@@ -132,9 +146,11 @@ TEST_P(VariationNodeSweep, LeakSpreadExceedsSpeedSpread)
     EXPECT_GT(max_l / min_l, max_s / min_s);
 }
 
-INSTANTIATE_TEST_SUITE_P(Nodes, VariationNodeSweep,
-                         ::testing::Values(&node28nmHPm, &node20nmSoC,
-                                           &node14nmFinFET));
+INSTANTIATE_TEST_SUITE_P(
+    Nodes, VariationNodeSweep,
+    ::testing::Values(NodeCase{"28nmHPm", &node28nmHPm},
+                      NodeCase{"20nmSoC", &node20nmSoC},
+                      NodeCase{"14nmFinFET", &node14nmFinFET}));
 
 } // namespace
 } // namespace pvar
