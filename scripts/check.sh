@@ -3,9 +3,10 @@
 # the test suite and the benchmark's correctness gates, replay a
 # pinned chaos plan (fault injection), soak
 # the service under syscall-level fault injection (pvar_chaos), run
-# the thread-pool/protocol tests under ThreadSanitizer plus the
-# service/store tests under AddressSanitizer, and execute every bench
-# binary's shape checks.
+# the thread-pool/protocol tests under ThreadSanitizer, the
+# service/store tests under AddressSanitizer and the numeric core
+# under UndefinedBehaviorSanitizer, and execute every bench binary's
+# shape checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -389,6 +390,23 @@ cmake --build build-asan \
 ./build-asan/tests/test_fault
 ./build-asan/tests/test_service
 chaos_soak ./build-asan/pvar_chaos 2 2
+
+# UndefinedBehaviorSanitizer pass over the numeric core: die and
+# cluster power, the supply solve, the device tick on both solvers,
+# the cohort engine and the study protocol, then a full fast-solver
+# study. Any report aborts the run.
+cmake -B build-ubsan -G Ninja -DPVAR_SANITIZE=undefined
+cmake --build build-ubsan \
+    --target test_die test_cluster_soc test_power test_device \
+        test_fast_solver test_batch test_protocol pvar_study
+./build-ubsan/tests/test_die
+./build-ubsan/tests/test_cluster_soc
+./build-ubsan/tests/test_power
+./build-ubsan/tests/test_device
+./build-ubsan/tests/test_fast_solver
+./build-ubsan/tests/test_batch
+./build-ubsan/tests/test_protocol
+./build-ubsan/pvar_study --solver fast --iterations 1 --quiet
 
 fail=0
 for b in build/bench/bench_*; do

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 
 #include "accubench/batch.hh"
 #include "fault/fault.hh"
@@ -371,18 +372,22 @@ socStudyTasks(const RegistryEntry &entry, const StudyConfig &cfg)
     return tasks;
 }
 
-/** Split interleaved per-unit results back into the two mode lists. */
+/**
+ * Split interleaved per-unit results back into the two mode lists.
+ * The results are moved, not copied: each carries its whole-experiment
+ * trace, and nothing after the reduction reads it.
+ */
 SocStudy
 reduceInterleaved(const std::string &soc_name, const std::string &model,
-                  const std::vector<ExperimentResult> &results)
+                  std::span<ExperimentResult> results)
 {
     std::vector<ExperimentResult> unconstrained;
     std::vector<ExperimentResult> fixed_freq;
     unconstrained.reserve(results.size() / 2);
     fixed_freq.reserve(results.size() / 2);
     for (std::size_t i = 0; i < results.size(); i += 2) {
-        unconstrained.push_back(results[i]);
-        fixed_freq.push_back(results[i + 1]);
+        unconstrained.push_back(std::move(results[i]));
+        fixed_freq.push_back(std::move(results[i + 1]));
     }
     return reduceSocStudy(soc_name, model, unconstrained, fixed_freq);
 }
@@ -540,9 +545,9 @@ runStudy(const std::vector<const RegistryEntry *> &entries,
     std::vector<SocStudy> studies;
     studies.reserve(entries.size());
     for (std::size_t s = 0; s < entries.size(); ++s) {
-        std::vector<ExperimentResult> slice(
-            results.begin() + first_task[s],
-            results.begin() + first_task[s + 1]);
+        std::span<ExperimentResult> slice =
+            std::span(results).subspan(first_task[s],
+                                       first_task[s + 1] - first_task[s]);
         studies.push_back(reduceInterleaved(entries[s]->spec.socName,
                                             entries[s]->spec.model,
                                             slice));

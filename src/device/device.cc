@@ -361,7 +361,15 @@ Device::fastSegmentCompute(Time seg_end, Time seg, bool awake)
                                : _config.boardActive;
     PowerSupply &src = supply();
 
-    auto setPackagePowers = [&](Watts soc_power) -> Watts {
+    // Sets the package heat inputs for `soc_power` and returns the
+    // supply power with the current it draws: one supply solve serves
+    // both the battery self-heating and the drain.
+    struct SupplyDraw
+    {
+        Watts power;
+        Amps current;
+    };
+    auto setPackagePowers = [&](Watts soc_power) -> SupplyDraw {
         Watts p_load = soc_power + p_board;
         Watts p_supply = Watts(p_load.value() / _config.pmicEfficiency);
         Amps i_draw = src.operatingCurrent(p_supply);
@@ -370,7 +378,7 @@ Device::fastSegmentCompute(Time seg_end, Time seg, bool awake)
         _package.setBatteryPower(_externalSupply
                                      ? Watts(0.0)
                                      : _battery.selfHeating(i_draw));
-        return p_supply;
+        return SupplyDraw{p_supply, i_draw};
     };
 
     if (seg > kFastPicardThreshold) {
@@ -400,24 +408,22 @@ Device::fastSegmentCompute(Time seg_end, Time seg, bool awake)
                 Time h = std::min(Time::msec(10), seg_end - t);
                 t = t + h;
                 Watts p = _soc.power(_package.dieTemp(), _suspended);
-                Watts p_supply = setPackagePowers(p);
-                Amps i_draw = src.operatingCurrent(p_supply);
-                _lastSupplyVoltage = src.terminalVoltage(i_draw);
-                src.drain(i_draw, h);
-                _lastPower = p_supply;
-                _meter.accumulate(p_supply, t, h);
+                SupplyDraw draw = setPackagePowers(p);
+                _lastSupplyVoltage = src.terminalVoltage(draw.current);
+                src.drain(draw.current, h);
+                _lastPower = draw.power;
+                _meter.accumulate(draw.power, t, h);
                 _package.step(h);
             }
             return false; // thermals already advanced substep-by-substep
         }
     }
 
-    Watts p_supply = setPackagePowers(p_soc);
-    Amps i_draw = src.operatingCurrent(p_supply);
-    _lastSupplyVoltage = src.terminalVoltage(i_draw);
-    src.drain(i_draw, seg);
-    _lastPower = p_supply;
-    _meter.accumulate(p_supply, seg_end, seg);
+    SupplyDraw draw = setPackagePowers(p_soc);
+    _lastSupplyVoltage = src.terminalVoltage(draw.current);
+    src.drain(draw.current, seg);
+    _lastPower = draw.power;
+    _meter.accumulate(draw.power, seg_end, seg);
 
     // -- Thermals: the analytic jump is left to the caller (serial
     // fastSegmentJump or a cohort's batched advance).

@@ -11,7 +11,9 @@ namespace pvar
 {
 
 Die::Die(ProcessNode node, DieParams params)
-    : _node(std::move(node)), _params(std::move(params))
+    : _node(std::move(node)), _params(std::move(params)),
+      _logLeakFactor(std::log(_params.leakFactor)),
+      _logSpeedFactor(std::log(_params.speedFactor))
 {
     if (_params.speedFactor <= 0.0 || _params.leakFactor <= 0.0)
         fatal("Die '%s': non-positive variation factors",
@@ -45,20 +47,44 @@ Die::passesAt(MegaHertz freq, Volts v) const
     return fmaxAt(v) >= freq;
 }
 
+// Both terms clamp to the exponential model's validity range; outside
+// it a real part has long since hit hardware thermal shutdown, and an
+// unclamped exponent would poison the simulation with infinities.
+
+double
+Die::leakageVoltTerm(Volts v) const
+{
+    double clamped = std::clamp(v.value(), 0.0, 2.0);
+    return std::exp((clamped - _node.vNominal.value()) /
+                    _node.leakVoltSlope);
+}
+
+double
+Die::leakageTempTerm(Celsius t) const
+{
+    double clamped = std::clamp(t.value(), -40.0, 200.0);
+    return std::exp((clamped - _node.tRef.value()) / _node.leakTempSlope);
+}
+
+Amps
+Die::currentFromTerms(LeakageTerms terms, double size_factor) const
+{
+    return Amps(_node.leakRef.value() * _params.leakFactor * size_factor *
+                terms.volt * terms.temp);
+}
+
 Amps
 Die::leakageCurrent(Volts v, Celsius t, double size_factor) const
 {
-    // Clamp to the exponential model's validity range; outside it a
-    // real part has long since hit hardware thermal shutdown, and an
-    // unclamped exponent would poison the simulation with infinities.
-    t = Celsius(std::clamp(t.value(), -40.0, 200.0));
-    v = Volts(std::clamp(v.value(), 0.0, 2.0));
-    double volt_term =
-        std::exp((v.value() - _node.vNominal.value()) / _node.leakVoltSlope);
-    double temp_term =
-        std::exp((t.value() - _node.tRef.value()) / _node.leakTempSlope);
-    return Amps(_node.leakRef.value() * _params.leakFactor * size_factor *
-                volt_term * temp_term);
+    return currentFromTerms(LeakageTerms{leakageVoltTerm(v),
+                                         leakageTempTerm(t)},
+                            size_factor);
+}
+
+Watts
+Die::leakagePower(Volts v, LeakageTerms terms, double size_factor) const
+{
+    return v * currentFromTerms(terms, size_factor);
 }
 
 Watts

@@ -43,6 +43,19 @@ struct DieParams
 };
 
 /**
+ * The two exponential factors of the leakage model at one operating
+ * point: exp((V - Vnom)/vs) and exp((T - Tref)/ts), each over its
+ * clamped input. Evaluating them once lets every core and cluster that
+ * shares the voltage or the die temperature share the exponent; the
+ * leakage built from them is bit-identical to leakageCurrent(v, t).
+ */
+struct LeakageTerms
+{
+    double volt = 1.0;
+    double temp = 1.0;
+};
+
+/**
  * A die instance: node constants + sampled parameters + the electrical
  * queries the rest of the system needs.
  */
@@ -82,8 +95,21 @@ class Die
      */
     Amps leakageCurrent(Volts v, Celsius t, double size_factor = 1.0) const;
 
+    /** exp((V - Vnom)/vs), V clamped to the model's 0..2 V range. */
+    double leakageVoltTerm(Volts v) const;
+
+    /** exp((T - Tref)/ts), T clamped to the model's -40..200 C range. */
+    double leakageTempTerm(Celsius t) const;
+
     /** Leakage power of one core: V * I_leak. */
     Watts leakagePower(Volts v, Celsius t, double size_factor = 1.0) const;
+
+    /**
+     * leakagePower() from terms evaluated by the two calls above at
+     * `v` and the die temperature.
+     */
+    Watts leakagePower(Volts v, LeakageTerms terms,
+                       double size_factor) const;
 
     /**
      * Dynamic switching power of one core at full activity:
@@ -97,9 +123,18 @@ class Die
     Watts dynamicPower(Volts v, MegaHertz f, double activity = 1.0,
                        double size_factor = 1.0) const;
 
+    /** ln(leakFactor) and ln(speedFactor), fixed when the die is built. */
+    double logLeakFactor() const { return _logLeakFactor; }
+    double logSpeedFactor() const { return _logSpeedFactor; }
+
   private:
     ProcessNode _node;
     DieParams _params;
+    double _logLeakFactor;
+    double _logSpeedFactor;
+
+    /** The leakage model's product, in its fixed operand order. */
+    Amps currentFromTerms(LeakageTerms terms, double size_factor) const;
 };
 
 } // namespace pvar

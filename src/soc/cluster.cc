@@ -60,24 +60,32 @@ CpuCluster::setUtilization(double u)
 Watts
 CpuCluster::power(const Die &die, Celsius die_temp) const
 {
+    return power(die, LeakageTerms{die.leakageVoltTerm(appliedVoltage()),
+                                   die.leakageTempTerm(die_temp)});
+}
+
+Watts
+CpuCluster::power(const Die &die, LeakageTerms leak) const
+{
     const double size = _params.coreType.sizeFactor;
     Volts v = appliedVoltage();
-    MegaHertz f = frequency();
+    double activity =
+        _utilization + (1.0 - _utilization) * _params.idleDynamicFraction;
+    Watts online_dynamic = die.dynamicPower(v, frequency(), activity, size);
+    Watts online_leakage = die.leakagePower(v, leak, size);
+    Watts offline_leakage =
+        die.leakagePower(v, leak, size * _params.offlineLeakFraction);
 
+    // Same additions in the same order as a per-core evaluation:
+    // floating-point sums are not reassociated.
     Watts total(0.0);
-    for (int core = 0; core < _params.coreCount; ++core) {
-        bool online = core < _onlineCores;
-        if (online) {
-            double activity =
-                _utilization +
-                (1.0 - _utilization) * _params.idleDynamicFraction;
-            total += die.dynamicPower(v, f, activity, size);
-            total += die.leakagePower(v, die_temp, size);
-        } else {
-            total += die.leakagePower(v, die_temp,
-                                      size * _params.offlineLeakFraction);
-        }
+    int online = std::clamp(_onlineCores, 0, _params.coreCount);
+    for (int core = 0; core < online; ++core) {
+        total += online_dynamic;
+        total += online_leakage;
     }
+    for (int core = online; core < _params.coreCount; ++core)
+        total += offline_leakage;
     return total;
 }
 

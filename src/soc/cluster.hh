@@ -117,6 +117,14 @@ class CpuCluster
     Watts power(const Die &die, Celsius die_temp) const;
 
     /**
+     * power() with the leakage terms already evaluated at
+     * appliedVoltage() and the die temperature. Each per-core term is
+     * computed once and added per core in core order, so the sum is
+     * bit-identical to evaluating every core separately.
+     */
+    Watts power(const Die &die, LeakageTerms leak) const;
+
+    /**
      * Aggregate work rate in iterations/second at the current OPP,
      * given the commanded utilization.
      */

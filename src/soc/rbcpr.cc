@@ -1,7 +1,6 @@
 #include "soc/rbcpr.hh"
 
 #include <algorithm>
-#include <cmath>
 
 namespace pvar
 {
@@ -16,8 +15,8 @@ Volts
 RbcprController::target(const Die &die, Celsius die_temp) const
 {
     double r = _params.baseRecoup;
-    r += _params.leakGain * std::log(die.params().leakFactor);
-    r += _params.speedGain * std::log(die.params().speedFactor);
+    r += _params.leakGain * die.logLeakFactor();
+    r += _params.speedGain * die.logSpeedFactor();
     r += _params.tempGain * (die_temp.value() - _params.tRef.value());
     return Volts(std::clamp(r, 0.0, _params.maxRecoup));
 }

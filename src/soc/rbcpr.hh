@@ -71,6 +71,13 @@ class RbcprController
      */
     Volts update(Time now, const Die &die, Celsius die_temp);
 
+    /**
+     * The recoup the loop slews toward for `die` at `die_temp`. The
+     * die's log factors are fixed when it is built, so an update
+     * evaluates no logarithm.
+     */
+    Volts target(const Die &die, Celsius die_temp) const;
+
     /** Last computed recoup. */
     Volts recoup() const { return _recoup; }
 
@@ -108,8 +115,6 @@ class RbcprController
     Volts _recoup;
     Time _lastUpdate;
     bool _primed;
-
-    Volts target(const Die &die, Celsius die_temp) const;
 };
 
 } // namespace pvar

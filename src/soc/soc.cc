@@ -1,5 +1,6 @@
 #include "soc/soc.hh"
 
+#include <limits>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -48,6 +49,19 @@ Soc::totalCores() const
 Watts
 Soc::power(Celsius die_temp, bool suspended) const
 {
+    // Every cluster sits at the die temperature, so the temperature
+    // exponent is shared; the voltage exponent is re-evaluated only
+    // when a cluster's voltage differs from the previous cluster's.
+    LeakageTerms leak{1.0, _die.leakageTempTerm(die_temp)};
+    double volt_of_term = std::numeric_limits<double>::quiet_NaN();
+    auto termsAt = [&](Volts v) {
+        if (v.value() != volt_of_term) {
+            leak.volt = _die.leakageVoltTerm(v);
+            volt_of_term = v.value();
+        }
+        return leak;
+    };
+
     if (suspended) {
         // Clusters are power-collapsed: retention leakage only, at the
         // lowest table voltage.
@@ -56,7 +70,7 @@ Soc::power(Celsius die_temp, bool suspended) const
             Volts v = c.table().lowest().voltage;
             double size = c.params().coreType.sizeFactor *
                           c.params().offlineLeakFraction;
-            total += _die.leakagePower(v, die_temp,
+            total += _die.leakagePower(v, termsAt(v),
                                        size * c.coreCount());
         }
         return total;
@@ -64,7 +78,7 @@ Soc::power(Celsius die_temp, bool suspended) const
 
     Watts total = _params.uncoreActive;
     for (const auto &c : _clusters)
-        total += c.power(_die, die_temp);
+        total += c.power(_die, termsAt(c.appliedVoltage()));
     return total;
 }
 

@@ -3,8 +3,12 @@
  * Unit and property tests for the Die electrical model.
  */
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <ostream>
 
 #include "silicon/die.hh"
@@ -151,6 +155,78 @@ TEST(Die, LeakagePowerIsVTimesI)
     Celsius t(55);
     EXPECT_NEAR(d.leakagePower(v, t).value(),
                 v.value() * d.leakageCurrent(v, t).value(), 1e-12);
+}
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+/** The leakage model written out in one expression, clamps included. */
+double
+closedFormLeakage(const Die &d, double v, double t, double size)
+{
+    const ProcessNode &n = d.node();
+    double vc = std::clamp(v, 0.0, 2.0);
+    double tc = std::clamp(t, -40.0, 200.0);
+    double volt_term = std::exp((vc - n.vNominal.value()) / n.leakVoltSlope);
+    double temp_term = std::exp((tc - n.tRef.value()) / n.leakTempSlope);
+    return n.leakRef.value() * d.params().leakFactor * size * volt_term *
+           temp_term;
+}
+
+/** Every leakage entry point against the closed form, bit for bit. */
+void
+expectClosedForm(const Die &d, double v, double t, double size)
+{
+    double want = closedFormLeakage(d, v, t, size);
+    LeakageTerms terms{d.leakageVoltTerm(Volts(v)),
+                       d.leakageTempTerm(Celsius(t))};
+    EXPECT_EQ(bits(d.leakageCurrent(Volts(v), Celsius(t), size).value()),
+              bits(want))
+        << "V=" << v << " T=" << t << " size=" << size;
+    EXPECT_EQ(bits(d.leakagePower(Volts(v), Celsius(t), size).value()),
+              bits(v * want))
+        << "V=" << v << " T=" << t << " size=" << size;
+    EXPECT_EQ(bits(d.leakagePower(Volts(v), terms, size).value()),
+              bits(v * want))
+        << "V=" << v << " T=" << t << " size=" << size;
+}
+
+TEST(Die, LeakageMatchesClosedFormAtClampEdges)
+{
+    Die d(node20nmSoC(), DieParams{"edge", 1.07, 1.9, 0.01});
+    for (double v : {-0.5, 0.0, 1e-9, 0.9, 2.0 - 1e-12, 2.0, 2.5}) {
+        for (double t : {-90.0, -40.0, -39.999, 25.0, 199.999, 200.0,
+                         5000.0}) {
+            for (double size : {1.0, 0.4, 0.05 * 0.4})
+                expectClosedForm(d, v, t, size);
+        }
+    }
+    // Past each edge the result is the edge's, not merely close to it.
+    EXPECT_EQ(bits(d.leakageVoltTerm(Volts(2.5))),
+              bits(d.leakageVoltTerm(Volts(2.0))));
+    EXPECT_EQ(bits(d.leakageVoltTerm(Volts(-0.5))),
+              bits(d.leakageVoltTerm(Volts(0.0))));
+    EXPECT_EQ(bits(d.leakageTempTerm(Celsius(-90.0))),
+              bits(d.leakageTempTerm(Celsius(-40.0))));
+    EXPECT_EQ(bits(d.leakageTempTerm(Celsius(5000.0))),
+              bits(d.leakageTempTerm(Celsius(200.0))));
+}
+
+TEST(Die, LeakageMatchesClosedFormWhenInputsAlternate)
+{
+    // One die, queried at interleaved operating points the way
+    // big.LITTLE clusters and successive segments query it: no answer
+    // may depend on what was asked before.
+    Die d(node14nmFinFET(), DieParams{"alt", 0.96, 0.7, -0.005});
+    const double volts[] = {0.80, 1.05, 0.80, 0.80, 1.05, 0.62, 1.05};
+    const double temps[] = {35.0, 35.0, 71.5, 35.0, 71.5, 71.5, 20.0};
+    for (int round = 0; round < 3; ++round) {
+        for (std::size_t i = 0; i < std::size(volts); ++i)
+            expectClosedForm(d, volts[i], temps[i], i % 2 ? 0.4 : 1.0);
+    }
 }
 
 struct NodeCase

@@ -7,10 +7,13 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <string>
 
 #include "accubench/experiment.hh"
 #include "device/fleet.hh"
+#include "device/registry.hh"
 #include "sim/simulator.hh"
+#include "thermal/rc_network.hh"
 
 namespace pvar
 {
@@ -223,6 +226,66 @@ TEST(Integration, HotterChamberLowersUnconstrainedScore)
     }
     EXPECT_GT(scores[0], scores[1] * 1.03);
 }
+
+// -- Metamorphic physics sweeps --------------------------------------------
+//
+// The paper's monotone claims as ladders rather than pairs, each run
+// under both thermal solvers: the fast solver must preserve the
+// physics, not only approximate the stepped bytes.
+
+class PhysicsSweep : public ::testing::TestWithParam<SolverKind>
+{
+  protected:
+    /** One fixed-frequency experiment on a unit of the Nexus 5. */
+    double
+    fixedFrequencyEnergyJ(const UnitCorner &corner, double ambient_c) const
+    {
+        const RegistryEntry &entry = DeviceRegistry::builtin().at("SD-800");
+        ExperimentConfig cfg;
+        cfg.mode = WorkloadMode::FixedFrequency;
+        cfg.fixedFrequency = entry.fixedFrequency;
+        cfg.iterations = 1;
+        cfg.solver = GetParam();
+        cfg.thermabox.target = Celsius(ambient_c);
+        cfg.accubench.cooldownTarget = Celsius(ambient_c + 8.0);
+        auto device = buildDevice(entry.spec, corner);
+        return runExperiment(*device, cfg).meanWorkloadEnergy().value();
+    }
+};
+
+TEST_P(PhysicsSweep, FixedFrequencyEnergyRisesWithLeakageCorner)
+{
+    // Same model, same unit id (so the same noise streams), same work;
+    // only the die's residual leakage climbs (§IV).
+    double prev = 0.0;
+    for (double leak : {-0.8, -0.4, 0.0, 0.4, 0.8, 1.2}) {
+        double energy =
+            fixedFrequencyEnergyJ(UnitCorner{"ladder", 0.0, leak, 0.0},
+                                  26.0);
+        EXPECT_GT(energy, prev) << "leak residual " << leak;
+        prev = energy;
+    }
+}
+
+TEST_P(PhysicsSweep, FixedFrequencyEnergyRisesWithAmbient)
+{
+    // A hotter chamber leaves the die hotter through the same work, and
+    // leakage grows with temperature (Fig 2).
+    double prev = 0.0;
+    for (double ambient : {12.0, 20.0, 28.0, 36.0}) {
+        double energy = fixedFrequencyEnergyJ(
+            UnitCorner{"ambient", 0.5, 0.1, 0.0}, ambient);
+        EXPECT_GT(energy, prev) << "ambient " << ambient << " C";
+        prev = energy;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Solvers, PhysicsSweep,
+    ::testing::Values(SolverKind::Stepped, SolverKind::Fast),
+    [](const ::testing::TestParamInfo<SolverKind> &param) {
+        return std::string(solverKindName(param.param));
+    });
 
 } // namespace
 } // namespace pvar
