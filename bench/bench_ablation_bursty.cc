@@ -16,7 +16,7 @@
 
 #include "accubench/experiment.hh"
 #include "bench_util.hh"
-#include "device/catalog.hh"
+#include "device/fleet.hh"
 #include "report/figure.hh"
 #include "report/table.hh"
 
@@ -48,8 +48,10 @@ main()
         "process variation manifests under sustained load; bursty "
         "(interactive) use masks it").c_str());
 
-    auto frugal = makeNexus5(0, UnitCorner{"bin-0", -1.75, +0.15, 0.0});
-    auto leaky = makeNexus5(3, UnitCorner{"bin-3", +1.25, +0.10, 0.0});
+    auto frugal = makeUnitForSoc(
+        "SD-800", UnitCorner{"bin-0", -1.75, +0.15, 0.0, 0});
+    auto leaky = makeUnitForSoc(
+        "SD-800", UnitCorner{"bin-3", +1.25, +0.10, 0.0, 3});
 
     const double duties[] = {0.3, 0.5, 0.7, 1.0};
     Table t({"Duty cycle", "bin-0 score", "bin-3 score",

@@ -13,7 +13,7 @@
 
 #include "accubench/experiment.hh"
 #include "bench_util.hh"
-#include "device/catalog.hh"
+#include "device/fleet.hh"
 #include "report/figure.hh"
 #include "report/table.hh"
 
@@ -35,8 +35,8 @@ main()
     std::vector<double> scores;
 
     for (double target : targets_c) {
-        auto device =
-            makeNexus5(3, UnitCorner{"bin-3", +1.25, +0.10, 0.0});
+        auto device = makeUnitForSoc(
+            "SD-800", UnitCorner{"bin-3", +1.25, +0.10, 0.0, 3});
         ExperimentConfig cfg;
         cfg.mode = WorkloadMode::Unconstrained;
         cfg.iterations = 3;

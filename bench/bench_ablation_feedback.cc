@@ -37,7 +37,8 @@ buildNexus5(double corner, bool with_feedback)
     VariationModel model(node);
     Die die = model.dieAtCorner(corner, 0.1,
                                 0.0, with_feedback ? "fb" : "nofb");
-    return std::make_unique<Device>(nexus5Config(2), std::move(die));
+    return std::make_unique<Device>(resolveDeviceConfig(nexus5Spec(), 2),
+                                    std::move(die));
 }
 
 double

@@ -28,7 +28,7 @@ namespace
 std::unique_ptr<Device>
 nexus5WithHysteresis(double width_c)
 {
-    DeviceConfig cfg = nexus5Config(3);
+    DeviceConfig cfg = resolveDeviceConfig(nexus5Spec(), 3);
     for (auto &trip : cfg.thermalGov.trips)
         trip.clear = trip.trip - Celsius(width_c);
     for (auto &rule : cfg.thermalGov.shutdowns)

@@ -16,7 +16,7 @@
 #include "accubench/experiment.hh"
 #include "accubench/protocol.hh"
 #include "bench_util.hh"
-#include "device/catalog.hh"
+#include "device/fleet.hh"
 #include "report/figure.hh"
 #include "report/table.hh"
 
@@ -34,9 +34,12 @@ main()
     // A 3-unit fleet with the same corner spacing the paper's Pixel
     // fleet used, so the comparison is apples-to-apples.
     std::vector<std::unique_ptr<Device>> fleet;
-    fleet.push_back(makePixel2(UnitCorner{"dev-p2a", -0.90, -0.30, 0.0}));
-    fleet.push_back(makePixel2(UnitCorner{"dev-p2b", 0.00, 0.00, 0.0}));
-    fleet.push_back(makePixel2(UnitCorner{"dev-p2c", +0.90, +0.45, 0.0}));
+    fleet.push_back(makeUnitForSoc(
+        "SD-835", UnitCorner{"dev-p2a", -0.90, -0.30, 0.0}));
+    fleet.push_back(makeUnitForSoc(
+        "SD-835", UnitCorner{"dev-p2b", 0.00, 0.00, 0.0}));
+    fleet.push_back(makeUnitForSoc(
+        "SD-835", UnitCorner{"dev-p2c", +0.90, +0.45, 0.0}));
 
     ExperimentConfig unc;
     unc.mode = WorkloadMode::Unconstrained;

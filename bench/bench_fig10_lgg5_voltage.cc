@@ -10,7 +10,7 @@
 
 #include "accubench/experiment.hh"
 #include "bench_util.hh"
-#include "device/catalog.hh"
+#include "device/fleet.hh"
 #include "report/figure.hh"
 #include "report/table.hh"
 
@@ -42,7 +42,8 @@ main()
         "Monsoon at the nominal 3.85 V performs ~20% below the "
         "battery; Monsoon at 4.4 V restores parity").c_str());
 
-    auto device = makeLgG5(UnitCorner{"g5-unit3", 0.0, 0.0, 0.0});
+    auto device = makeUnitForSoc(
+        "SD-820", UnitCorner{"g5-unit3", 0.0, 0.0, 0.0});
 
     double monsoon_nominal =
         scoreWith(*device, SupplyChoice::MonsoonExplicit, Volts(3.85));

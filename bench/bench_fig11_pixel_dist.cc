@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "device/catalog.hh"
+#include "device/fleet.hh"
 #include "dist_figure.hh"
 
 using namespace pvar;
@@ -23,8 +23,10 @@ main()
         "dev-488 +7% performance, +2-7% mean frequency; time at "
         "temperature is NOT sufficient to predict throttling").c_str());
 
-    auto dev488 = makePixel(UnitCorner{"dev-488", -0.90, -0.30, 0.0});
-    auto dev653 = makePixel(UnitCorner{"dev-653", +0.90, +0.45, 0.0});
+    auto dev488 = makeUnitForSoc(
+        "SD-821", UnitCorner{"dev-488", -0.90, -0.30, 0.0});
+    auto dev653 = makeUnitForSoc(
+        "SD-821", UnitCorner{"dev-653", +0.90, +0.45, 0.0});
 
     UnitDistributions a = collectDistributions(
         *dev488, "freq_perf", 1000.0, 2400.0, 74.0);

@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "device/catalog.hh"
+#include "device/fleet.hh"
 #include "dist_figure.hh"
 
 using namespace pvar;
@@ -23,8 +23,10 @@ main()
         "bin-1 outperforms bin-3 by 11%; mean frequency is also 11% "
         "higher — the gap is throttling, not background noise").c_str());
 
-    auto bin1 = makeNexus5(1, UnitCorner{"bin-1", -0.70, -0.10, 0.0});
-    auto bin3 = makeNexus5(3, UnitCorner{"bin-3", +1.25, +0.10, 0.0});
+    auto bin1 = makeUnitForSoc(
+        "SD-800", UnitCorner{"bin-1", -0.70, -0.10, 0.0, 1});
+    auto bin3 = makeUnitForSoc(
+        "SD-800", UnitCorner{"bin-3", +1.25, +0.10, 0.0, 3});
 
     UnitDistributions a =
         collectDistributions(*bin1, "freq_cpu", 1100.0, 2300.0, 73.0);

@@ -18,7 +18,7 @@
 
 #include "accubench/experiment.hh"
 #include "bench_util.hh"
-#include "device/catalog.hh"
+#include "device/fleet.hh"
 #include "report/figure.hh"
 #include "report/table.hh"
 
@@ -33,18 +33,13 @@ main()
         "bin-4 ~20% more energy and ~18% more time than bin-0; core "
         "shutdown once 80C is reached").c_str());
 
-    struct BinUnit
-    {
-        int bin;
-        UnitCorner corner;
-    };
     // The study fleet's four corners plus the ill-fated bin-4 unit.
-    const BinUnit units[] = {
-        {0, {"bin-0", -1.75, +0.15, 0.0}},
-        {1, {"bin-1", -0.70, -0.10, 0.0}},
-        {2, {"bin-2", +0.30, +0.10, 0.0}},
-        {3, {"bin-3", +1.25, +0.10, 0.0}},
-        {4, {"bin-4", +1.80, +0.45, 0.0}},
+    const UnitCorner units[] = {
+        {"bin-0", -1.75, +0.15, 0.0, 0},
+        {"bin-1", -0.70, -0.10, 0.0, 1},
+        {"bin-2", +0.30, +0.10, 0.0, 2},
+        {"bin-3", +1.25, +0.10, 0.0, 3},
+        {"bin-4", +1.80, +0.45, 0.0, 4},
     };
 
     ExperimentConfig cfg;
@@ -57,7 +52,7 @@ main()
     std::vector<bool> shutdown_seen;
 
     for (const auto &unit : units) {
-        auto device = makeNexus5(unit.bin, unit.corner);
+        auto device = makeUnitForSoc("SD-800", unit);
         ExperimentResult r = runExperiment(*device, cfg);
 
         double spi =
@@ -72,7 +67,7 @@ main()
         sec_per_iter.push_back(spi);
         joule_per_iter.push_back(jpi);
         shutdown_seen.push_back(shutdown);
-        t.addRow({unit.corner.id, fmtDouble(spi, 3), fmtDouble(jpi, 2),
+        t.addRow({unit.id, fmtDouble(spi, 3), fmtDouble(jpi, 2),
                   fmtDouble(peak, 1), shutdown ? "yes" : "no"});
     }
     std::printf("%s", t.render().c_str());
@@ -82,8 +77,8 @@ main()
     BarFigure energy_fig(
         "Fig 1 (energy for fixed work, normalized to bin-0)", "J/iter");
     for (std::size_t i = 0; i < std::size(units); ++i) {
-        time_fig.addBar(units[i].corner.id, sec_per_iter[i]);
-        energy_fig.addBar(units[i].corner.id, joule_per_iter[i]);
+        time_fig.addBar(units[i].id, sec_per_iter[i]);
+        energy_fig.addBar(units[i].id, joule_per_iter[i]);
     }
     std::printf("\n%s", time_fig.render(false).c_str());
     std::printf("\n%s", energy_fig.render(false).c_str());

@@ -13,7 +13,7 @@
 
 #include "accubench/experiment.hh"
 #include "bench_util.hh"
-#include "device/catalog.hh"
+#include "device/fleet.hh"
 #include "report/figure.hh"
 #include "report/table.hh"
 
@@ -66,8 +66,10 @@ main()
 
     const std::vector<double> ambients = {10, 18, 26, 34, 42};
 
-    auto nexus5 = makeNexus5(2, UnitCorner{"N5-bin2", +0.30, +0.10, 0.0});
-    auto nexus6p = makeNexus6p(UnitCorner{"6P-520", 0.0, 0.0, 0.0});
+    auto nexus5 = makeUnitForSoc(
+        "SD-800", UnitCorner{"N5-bin2", +0.30, +0.10, 0.0, 2});
+    auto nexus6p = makeUnitForSoc(
+        "SD-810", UnitCorner{"6P-520", 0.0, 0.0, 0.0});
 
     Table t({"Ambient C", "Nexus 5 J/iter", "(rel)", "Nexus 6P J/iter",
              "(rel)"});

@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "device/catalog.hh"
+#include "device/fleet.hh"
 #include "report/figure.hh"
 #include "report/table.hh"
 #include "sim/simulator.hh"
@@ -31,7 +31,8 @@ main()
         "lamp, 26 +/- 0.5 C").c_str());
 
     Thermabox box((ThermaboxParams()));
-    auto device = makeNexus5(2, UnitCorner{"dut", 0.3, 0.1, 0.0});
+    auto device = makeUnitForSoc(
+        "SD-800", UnitCorner{"dut", 0.3, 0.1, 0.0, 2});
     Simulator sim(Time::msec(20));
     sim.add(&box);
     sim.add(device.get());

@@ -10,7 +10,7 @@
 
 #include "accubench/accubench.hh"
 #include "bench_util.hh"
-#include "device/catalog.hh"
+#include "device/fleet.hh"
 #include "report/figure.hh"
 #include "report/table.hh"
 #include "sim/simulator.hh"
@@ -26,7 +26,8 @@ main()
         "CPU throttles quickly during warmup and workload; cooldown "
         "drops the die to the target temperature").c_str());
 
-    auto device = makeNexus5(3, UnitCorner{"bin-3", +1.25, +0.10, 0.0});
+    auto device = makeUnitForSoc(
+        "SD-800", UnitCorner{"bin-3", +1.25, +0.10, 0.0, 3});
     Simulator sim(Time::msec(10));
     sim.add(device.get());
     device->soakTo(Celsius(26.0));

@@ -9,7 +9,6 @@
 
 #include "accubench/accubench.hh"
 #include "bench_util.hh"
-#include "device/catalog.hh"
 #include "device/fleet.hh"
 #include "report/figure.hh"
 #include "report/table.hh"
@@ -26,8 +25,11 @@ main()
         "at the pinned low frequency the device never heats to "
         "throttling levels").c_str());
 
-    auto device = makeNexus5(3, UnitCorner{"bin-3", +1.25, +0.10, 0.0});
-    device->setFixedFrequency(fixedFrequencyForSoc("SD-800"));
+    const MegaHertz pinned_freq =
+        DeviceRegistry::builtin().at("SD-800").fixedFrequency;
+    auto device = makeUnitForSoc(
+        "SD-800", UnitCorner{"bin-3", +1.25, +0.10, 0.0, 3});
+    device->setFixedFrequency(pinned_freq);
 
     Simulator sim(Time::msec(10));
     sim.add(device.get());
@@ -54,7 +56,7 @@ main()
     const auto &temp = trace.channel("die_temp");
     const auto &freq = trace.channel("freq_cpu");
     double peak = temp.max();
-    double pinned = fixedFrequencyForSoc("SD-800").value();
+    double pinned = pinned_freq.value();
 
     bool never_throttled = true;
     for (const auto &s : freq.samples()) {

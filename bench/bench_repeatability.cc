@@ -50,12 +50,13 @@ main()
         Fleet fleet = fleetForSoc(c.soc);
         Device &device = *fleet[c.unit];
 
+        const RegistryEntry &entry = DeviceRegistry::builtin().at(c.soc);
         ExperimentConfig cfg;
         cfg.mode = c.mode;
-        cfg.fixedFrequency = fixedFrequencyForSoc(c.soc);
+        cfg.fixedFrequency = entry.fixedFrequency;
         cfg.iterations = 8;
         cfg.supply = SupplyChoice::MonsoonExplicit;
-        cfg.monsoonVoltage = studyMonsoonVoltageForSoc(c.soc);
+        cfg.monsoonVoltage = entry.monsoonVoltage;
         ExperimentResult r = runExperiment(device, cfg);
 
         t.addRow({device.name(),

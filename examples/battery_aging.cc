@@ -16,6 +16,7 @@
 
 #include "accubench/experiment.hh"
 #include "device/catalog.hh"
+#include "device/fleet.hh"
 #include "silicon/process_node.hh"
 #include "silicon/variation_model.hh"
 #include "report/table.hh"
@@ -50,7 +51,8 @@ main()
              "Min rail (V)"});
     double baseline = 0.0;
 
-    auto device_ptr = makeLgG5(UnitCorner{"aging-dut", 0.0, 0.0, 0.0});
+    auto device_ptr = makeUnitForSoc(
+        "SD-820", UnitCorner{"aging-dut", 0.0, 0.0, 0.0});
     Device &device = *device_ptr;
 
     for (const auto &p : points) {
@@ -83,6 +85,6 @@ main()
         "down.\nThe fix phone vendors chose — capping frequency — is "
         "exactly what the table shows; the fix users wanted was a new "
         "battery.\n",
-        lgG5Config().inputThrottle.engageBelow.value());
+        resolveDeviceConfig(lgG5Spec(), 0).inputThrottle.engageBelow.value());
     return 0;
 }

@@ -62,7 +62,7 @@ main()
             ++sampled;
 
             // Rebuild the same die corner inside a full phone.
-            DeviceConfig cfg = nexus5Config(want_bin);
+            DeviceConfig cfg = resolveDeviceConfig(nexus5Spec(), want_bin);
             Die die(node28nmHPm(), lot[i].params());
             Device device(std::move(cfg), std::move(die));
 

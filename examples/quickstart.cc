@@ -18,7 +18,6 @@
 #include <cstdlib>
 
 #include "accubench/experiment.hh"
-#include "device/catalog.hh"
 #include "device/fleet.hh"
 #include "sim/logging.hh"
 
@@ -35,8 +34,8 @@ main(int argc, char **argv)
     std::printf("Building a Nexus 5 (SD-800), voltage bin %d, process "
                 "corner %+.2f...\n",
                 bin, corner);
-    auto device =
-        makeNexus5(bin, UnitCorner{"my-phone", corner, 0.0, 0.0});
+    auto device = makeUnitForSoc(
+        "SD-800", UnitCorner{"my-phone", corner, 0.0, 0.0, bin});
 
     const Die &die = device->soc().die();
     std::printf("  die: speedFactor %.3f, leakFactor %.3f\n",
@@ -66,7 +65,8 @@ main(int argc, char **argv)
     // -- FIXED-FREQUENCY: equal work, energy is the observable. ----------
     ExperimentConfig fix;
     fix.mode = WorkloadMode::FixedFrequency;
-    fix.fixedFrequency = fixedFrequencyForSoc("SD-800");
+    fix.fixedFrequency =
+        DeviceRegistry::builtin().at("SD-800").fixedFrequency;
     fix.iterations = 3;
     std::printf("\nRunning FIXED-FREQUENCY ACCUBENCH at %.0f MHz...\n",
                 fix.fixedFrequency.value());

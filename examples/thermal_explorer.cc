@@ -17,7 +17,7 @@
 #include "accubench/ambient_estimator.hh"
 #include "accubench/experiment.hh"
 #include "accubench/phase_windows.hh"
-#include "device/catalog.hh"
+#include "device/fleet.hh"
 #include "report/table.hh"
 #include "sim/logging.hh"
 
@@ -28,7 +28,8 @@ main()
 {
     setLogLevel(LogLevel::Quiet);
 
-    auto device = makeNexus5(2, UnitCorner{"explorer", +0.3, +0.1, 0.0});
+    auto device = makeUnitForSoc(
+        "SD-800", UnitCorner{"explorer", +0.3, +0.1, 0.0, 2});
 
     struct Scenario
     {

@@ -6,7 +6,8 @@
 # the thread-pool/protocol tests under ThreadSanitizer, the
 # service/store tests under AddressSanitizer and the numeric core
 # under UndefinedBehaviorSanitizer, and execute every bench binary's
-# shape checks.
+# shape checks (bench_speed_gates holds the two timing floors; all
+# other performance numbers come from perf/).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -54,33 +54,18 @@ class ExperimentCache
      * without computing. True fills `out` and counts as a hit; false
      * counts as a miss, and the scheduler later hands the computed
      * result to insert(). Implementations must keep (lookup-miss +
-     * insert) equivalent to one getOrCompute. The defaults — always
-     * miss, never store — keep pre-batch implementations compiling,
-     * at the cost of no memoization on the batched path.
+     * insert) equivalent to one getOrCompute.
      */
     virtual bool lookup(const RegistryEntry &entry,
                         std::size_t unit_index,
                         const ExperimentConfig &cfg,
-                        ExperimentResult &out)
-    {
-        (void)entry;
-        (void)unit_index;
-        (void)cfg;
-        (void)out;
-        return false;
-    }
+                        ExperimentResult &out) = 0;
 
     /** Store a result computed after a lookup() miss. */
     virtual void insert(const RegistryEntry &entry,
                         std::size_t unit_index,
                         const ExperimentConfig &cfg,
-                        const ExperimentResult &result)
-    {
-        (void)entry;
-        (void)unit_index;
-        (void)cfg;
-        (void)result;
-    }
+                        const ExperimentResult &result) = 0;
 
     /**
      * Called by the scheduler after a study's task fan-out completes.

@@ -4,11 +4,11 @@
  * SD-835 extension), each defined as a declarative DeviceSpec.
  *
  * Every model is pure data — a DeviceSpec consumed by the generic
- * buildDevice() — and the per-model make functions below are thin
- * wrappers over the name-keyed DeviceRegistry. Units are identified
- * the way the paper identifies them: Nexus 5 / Nexus 6 units by CPU
- * bin (their kernels expose it), later units by a device id (binning
- * hidden; "dev-363", "dev-488"...).
+ * buildDevice(). Units are built through the name-keyed
+ * DeviceRegistry (registry.hh) or makeUnitForSoc() (fleet.hh). Units
+ * are identified the way the paper identifies them: Nexus 5 / Nexus 6
+ * units by CPU bin (their kernels expose it), later units by a device
+ * id (binning hidden; "dev-363", "dev-488"...).
  *
  * The corner parameters of every unit live in registry.cc and are
  * calibrated so the simulated study reproduces Table II.
@@ -17,10 +17,6 @@
 #ifndef PVAR_DEVICE_CATALOG_HH
 #define PVAR_DEVICE_CATALOG_HH
 
-#include <memory>
-#include <string>
-
-#include "device/device.hh"
 #include "device/spec.hh"
 #include "silicon/process_node.hh"
 #include "silicon/vf_table.hh"
@@ -43,36 +39,22 @@ VfTable nexus5BinTable(int bin);
  *  frequencies {300, 729, 960, 1574, 2265}; test hook. */
 double nexus5TableIMillivolts(int bin, double freq_mhz);
 
-/** Device config (everything except the die). */
-DeviceConfig nexus5Config(int bin);
-
-/** Assemble one Nexus 5 unit at a silicon corner. */
-std::unique_ptr<Device> makeNexus5(int bin, const UnitCorner &corner);
-
 /** @} */
 
 /** @name Nexus 6 (Snapdragon 805, 28 nm, 4x Krait-450). @{ */
 DeviceSpec nexus6Spec();
-DeviceConfig nexus6Config();
-std::unique_ptr<Device> makeNexus6(const UnitCorner &corner);
 /** @} */
 
 /** @name Nexus 6P (Snapdragon 810, 20 nm, 4x A57 + 4x A53, RBCPR). @{ */
 DeviceSpec nexus6pSpec();
-DeviceConfig nexus6pConfig();
-std::unique_ptr<Device> makeNexus6p(const UnitCorner &corner);
 /** @} */
 
 /** @name LG G5 (Snapdragon 820, 14 nm, 2+2 Kryo, V-in throttle). @{ */
 DeviceSpec lgG5Spec();
-DeviceConfig lgG5Config();
-std::unique_ptr<Device> makeLgG5(const UnitCorner &corner);
 /** @} */
 
 /** @name Google Pixel (Snapdragon 821, 14 nm, 2+2 Kryo). @{ */
 DeviceSpec pixelSpec();
-DeviceConfig pixelConfig();
-std::unique_ptr<Device> makePixel(const UnitCorner &corner);
 /** @} */
 
 /** @name Google Pixel 2 (Snapdragon 835, 10 nm) — EXTENSION. @{ */
@@ -81,8 +63,6 @@ std::unique_ptr<Device> makePixel(const UnitCorner &corner);
 ProcessNode node10nmLPE();
 
 DeviceSpec pixel2Spec();
-DeviceConfig pixel2Config();
-std::unique_ptr<Device> makePixel2(const UnitCorner &corner);
 /** @} */
 
 } // namespace pvar

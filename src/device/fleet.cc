@@ -8,59 +8,9 @@ namespace pvar
 {
 
 Fleet
-nexus5Fleet()
-{
-    return buildFleet(DeviceRegistry::builtin().at("SD-800"));
-}
-
-Fleet
-nexus6Fleet()
-{
-    return buildFleet(DeviceRegistry::builtin().at("SD-805"));
-}
-
-Fleet
-nexus6pFleet()
-{
-    return buildFleet(DeviceRegistry::builtin().at("SD-810"));
-}
-
-Fleet
-lgG5Fleet()
-{
-    return buildFleet(DeviceRegistry::builtin().at("SD-820"));
-}
-
-Fleet
-pixelFleet()
-{
-    return buildFleet(DeviceRegistry::builtin().at("SD-821"));
-}
-
-Fleet
 fleetForSoc(const std::string &soc_name)
 {
     return buildFleet(DeviceRegistry::builtin().at(soc_name));
-}
-
-const std::vector<std::string> &
-studySocNames()
-{
-    static const std::vector<std::string> names =
-        DeviceRegistry::builtin().studySocNames();
-    return names;
-}
-
-MegaHertz
-fixedFrequencyForSoc(const std::string &soc_name)
-{
-    return DeviceRegistry::builtin().at(soc_name).fixedFrequency;
-}
-
-Volts
-studyMonsoonVoltageForSoc(const std::string &soc_name)
-{
-    return DeviceRegistry::builtin().at(soc_name).monsoonVoltage;
 }
 
 std::unique_ptr<Device>

@@ -15,8 +15,9 @@
  * model's study constants live in the built-in DeviceRegistry
  * (registry.cc), chosen so the simulated protocol reproduces the
  * variation bands of paper Table II (see DESIGN.md §4 and the
- * calibration tests). The functions here are thin lookups kept for
- * callers that address the fleet by SoC name.
+ * calibration tests). The functions here are thin lookups for callers
+ * that address the fleet by SoC name; the per-model study constants
+ * and the study's SoC order are DeviceRegistry::builtin() fields.
  */
 
 #ifndef PVAR_DEVICE_FLEET_HH
@@ -33,45 +34,14 @@
 namespace pvar
 {
 
-/** The four Nexus 5 units (bins 0, 1, 2, 3). */
-Fleet nexus5Fleet();
-
-/** The three Nexus 6 units. */
-Fleet nexus6Fleet();
-
-/** The three Nexus 6P units (dev-363, dev-520, dev-793). */
-Fleet nexus6pFleet();
-
-/** The five LG G5 units. */
-Fleet lgG5Fleet();
-
-/** The three Pixel units (dev-488, dev-561, dev-653). */
-Fleet pixelFleet();
-
 /** A fleet for one SoC by name ("SD-800" ... "SD-821"). */
 Fleet fleetForSoc(const std::string &soc_name);
 
-/** The SoC names in paper order. */
-const std::vector<std::string> &studySocNames();
-
-/**
- * The fixed frequency used for each SoC's FIXED-FREQUENCY workload
- * (a mid-ladder OPP guaranteed not to reach any trip point).
- */
-MegaHertz fixedFrequencyForSoc(const std::string &soc_name);
-
-/**
- * The Monsoon output voltage the study uses for an SoC. Nominal
- * battery voltage everywhere except the LG G5, which must be powered
- * at its battery's 4.4 V maximum to avoid the input-voltage throttle
- * the paper discovered (Fig 10).
- */
-Volts studyMonsoonVoltageForSoc(const std::string &soc_name);
-
 /**
  * Build one unit of the model carrying the given SoC at an arbitrary
- * silicon corner (Nexus 5 units use the mid bin-2 voltage table).
- * Used by crowd simulations that need units beyond the study fleet.
+ * silicon corner. A Nexus 5 unit takes its voltage bin from
+ * corner.bin, or the mid bin-2 table when that is -1. Used by crowd
+ * simulations, benches and tests that need units beyond the fleet.
  */
 std::unique_ptr<Device> makeUnitForSoc(const std::string &soc_name,
                                        const UnitCorner &corner);

@@ -14,7 +14,6 @@
 
 #include "device/catalog.hh"
 
-#include "device/registry.hh"
 #include "silicon/process_node.hh"
 
 namespace pvar
@@ -116,19 +115,6 @@ lgG5Spec()
     spec.battery.vFull = Volts(4.40); // the G5 ships a 4.4 V cell
 
     return spec;
-}
-
-DeviceConfig
-lgG5Config()
-{
-    return resolveDeviceConfig(lgG5Spec(), 0);
-}
-
-std::unique_ptr<Device>
-makeLgG5(const UnitCorner &corner)
-{
-    return buildDevice(DeviceRegistry::builtin().at("SD-820").spec,
-                       corner);
 }
 
 } // namespace pvar

@@ -13,7 +13,6 @@
 
 #include "device/catalog.hh"
 
-#include "device/registry.hh"
 #include "silicon/process_node.hh"
 #include "sim/logging.hh"
 
@@ -118,21 +117,6 @@ nexus5BinTable(int bin)
                        spec.clusters.front().anchorMv.size())
         fatal("nexus5BinTable: bin %d out of range [0,6]", bin);
     return resolveClusterTable(spec, spec.clusters.front(), bin, nullptr);
-}
-
-DeviceConfig
-nexus5Config(int bin)
-{
-    return resolveDeviceConfig(nexus5Spec(), bin);
-}
-
-std::unique_ptr<Device>
-makeNexus5(int bin, const UnitCorner &corner)
-{
-    UnitCorner pinned = corner;
-    pinned.bin = bin;
-    return buildDevice(DeviceRegistry::builtin().at("SD-800").spec,
-                       pinned);
 }
 
 } // namespace pvar

@@ -16,7 +16,6 @@
 
 #include "device/catalog.hh"
 
-#include "device/registry.hh"
 #include "silicon/process_node.hh"
 
 namespace pvar
@@ -86,19 +85,6 @@ nexus6Spec()
     spec.battery.nominal = Volts(3.8);
 
     return spec;
-}
-
-DeviceConfig
-nexus6Config()
-{
-    return resolveDeviceConfig(nexus6Spec(), 0);
-}
-
-std::unique_ptr<Device>
-makeNexus6(const UnitCorner &corner)
-{
-    return buildDevice(DeviceRegistry::builtin().at("SD-805").spec,
-                       corner);
 }
 
 } // namespace pvar

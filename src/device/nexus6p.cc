@@ -12,7 +12,6 @@
 
 #include "device/catalog.hh"
 
-#include "device/registry.hh"
 #include "silicon/process_node.hh"
 
 namespace pvar
@@ -111,19 +110,6 @@ nexus6pSpec()
     spec.battery.nominal = Volts(3.8);
 
     return spec;
-}
-
-DeviceConfig
-nexus6pConfig()
-{
-    return resolveDeviceConfig(nexus6pSpec(), 0);
-}
-
-std::unique_ptr<Device>
-makeNexus6p(const UnitCorner &corner)
-{
-    return buildDevice(DeviceRegistry::builtin().at("SD-810").spec,
-                       corner);
 }
 
 } // namespace pvar

@@ -14,7 +14,6 @@
 
 #include "device/catalog.hh"
 
-#include "device/registry.hh"
 #include "silicon/process_node.hh"
 
 namespace pvar
@@ -109,19 +108,6 @@ pixelSpec()
     spec.battery.nominal = Volts(3.85);
 
     return spec;
-}
-
-DeviceConfig
-pixelConfig()
-{
-    return resolveDeviceConfig(pixelSpec(), 0);
-}
-
-std::unique_ptr<Device>
-makePixel(const UnitCorner &corner)
-{
-    return buildDevice(DeviceRegistry::builtin().at("SD-821").spec,
-                       corner);
 }
 
 } // namespace pvar

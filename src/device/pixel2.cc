@@ -17,7 +17,6 @@
 
 #include "device/catalog.hh"
 
-#include "device/registry.hh"
 #include "silicon/process_node.hh"
 
 namespace pvar
@@ -137,19 +136,6 @@ pixel2Spec()
     spec.battery.nominal = Volts(3.85);
 
     return spec;
-}
-
-DeviceConfig
-pixel2Config()
-{
-    return resolveDeviceConfig(pixel2Spec(), 0);
-}
-
-std::unique_ptr<Device>
-makePixel2(const UnitCorner &corner)
-{
-    return buildDevice(DeviceRegistry::builtin().at("SD-835").spec,
-                       corner);
 }
 
 } // namespace pvar

@@ -1,6 +1,7 @@
 #include "report/fault_json.hh"
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -19,13 +20,13 @@ u64Field(const JsonValue &obj, const char *key, std::uint64_t dflt)
     const JsonValue *v = obj.find(key);
     if (!v)
         return dflt;
-    double d = v->asNumber();
-    auto u = static_cast<std::uint64_t>(d);
-    if (d < 0.0 || static_cast<double>(u) != d) {
+    std::optional<std::uint64_t> u =
+        jsonInteger<std::uint64_t>(v->asNumber(), 0);
+    if (!u) {
         throw JsonError(strfmt("'%s' must be a non-negative integer",
                                key));
     }
-    return u;
+    return *u;
 }
 
 FaultRule
@@ -52,13 +53,13 @@ ruleFromJson(const JsonValue &obj)
     }
     if (const JsonValue *counts = obj.find("counts")) {
         for (const JsonValue &c : counts->asArray()) {
-            double d = c.asNumber();
-            auto u = static_cast<std::uint64_t>(d);
-            if (d < 0.0 || static_cast<double>(u) != d) {
+            std::optional<std::uint64_t> u =
+                jsonInteger<std::uint64_t>(c.asNumber(), 0);
+            if (!u) {
                 throw JsonError(
                     "'counts' entries must be non-negative integers");
             }
-            rule.counts.push_back(u);
+            rule.counts.push_back(*u);
         }
     }
     if (const JsonValue *mode = obj.find("mode")) {

@@ -14,7 +14,10 @@
 #ifndef PVAR_REPORT_JSON_HH
 #define PVAR_REPORT_JSON_HH
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -164,6 +167,27 @@ class JsonValue
     std::vector<JsonValue> _array;
     std::vector<Member> _object;
 };
+
+/**
+ * A JSON number as the integer type T, or nullopt unless @p d is a
+ * whole number in [@p min, the largest T]. The range is tested on the
+ * double before the cast, because converting an out-of-range double
+ * to an integer is undefined behaviour. Callers throw their own
+ * JsonError naming the field.
+ */
+template <typename T>
+std::optional<T>
+jsonInteger(double d, T min)
+{
+    // 2^digits is the first whole number past max(); a power of two,
+    // it is exact as a double for every integer type.
+    const double past_max =
+        2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+    if (!(d >= static_cast<double>(min) && d < past_max) ||
+        d != std::trunc(d))
+        return std::nullopt;
+    return static_cast<T>(d);
+}
 
 /**
  * Parse a complete JSON document. Returns false and sets @p error

@@ -29,7 +29,8 @@ sampleSizeStudy(const LowerBoundConfig &cfg)
     exp.iterations = cfg.iterations;
     exp.accubench = cfg.accubench;
     exp.supply = SupplyChoice::MonsoonExplicit;
-    exp.monsoonVoltage = studyMonsoonVoltageForSoc(cfg.socName);
+    exp.monsoonVoltage =
+        DeviceRegistry::builtin().at(cfg.socName).monsoonVoltage;
     exp.solver = cfg.solver;
 
     // Sample every corner serially in (size, replicate, unit) order —

@@ -157,8 +157,8 @@ CrowdStudyResult runCrowdStudy(const CrowdStudyConfig &cfg);
  * The experiment one sampled die runs: UNCONSTRAINED mode on the
  * die's own battery, chamber pinned at the die's ambient, live-point
  * key attached when cfg.livePoints is set. Exposed so exhaustive
- * ground-truth sweeps (the oracle test, BENCH_crowd) run *exactly*
- * the per-die configuration the sampler uses.
+ * ground-truth sweeps (the oracle tests in test_sampling.cc) run
+ * *exactly* the per-die configuration the sampler uses.
  */
 ExperimentConfig crowdDieExperiment(const CrowdStudyConfig &cfg,
                                     const CrowdDie &die);

@@ -1,6 +1,7 @@
 #include "service/service.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "device/registry.hh"
 #include "fault/fault.hh"
@@ -44,13 +45,12 @@ intField(const JsonValue &doc, const char *key, int dflt, int min)
     const JsonValue *v = doc.find(key);
     if (!v)
         return dflt;
-    double d = v->asNumber();
-    int i = static_cast<int>(d);
-    if (static_cast<double>(i) != d || i < min) {
+    std::optional<int> i = jsonInteger(v->asNumber(), min);
+    if (!i) {
         throw JsonError(strfmt("'%s' must be an integer >= %d", key,
                                min));
     }
-    return i;
+    return *i;
 }
 
 } // namespace

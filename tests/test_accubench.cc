@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "accubench/accubench.hh"
-#include "device/catalog.hh"
+#include "device/fleet.hh"
 #include "sim/simulator.hh"
 
 namespace pvar
@@ -29,7 +29,7 @@ quickConfig()
 std::unique_ptr<Device>
 device()
 {
-    return makeNexus5(2, UnitCorner{"x", 0.0, 0.0, 0.0});
+    return makeUnitForSoc("SD-800", UnitCorner{"x", 0.0, 0.0, 0.0, 2});
 }
 
 TEST(Accubench, PhaseDurationsHonoured)
@@ -138,7 +138,7 @@ TEST(Accubench, WarmupNormalizesBackToBackIterations)
 {
     // The methodology claim: after the first iteration, subsequent
     // scores agree tightly even though the device starts warm.
-    auto d = makeNexus5(3, UnitCorner{"leaky", 1.2, 0.2, 0.0});
+    auto d = makeUnitForSoc("SD-800", UnitCorner{"leaky", 1.2, 0.2, 0.0, 3});
     Simulator sim(Time::msec(10));
     sim.add(d.get());
 

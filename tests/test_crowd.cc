@@ -11,7 +11,7 @@
 #include "sampling/lower_bound.hh"
 #include "accubench/phase_windows.hh"
 #include "accubench/throttle_analysis.hh"
-#include "device/catalog.hh"
+#include "device/fleet.hh"
 
 namespace pvar
 {
@@ -72,7 +72,7 @@ TEST(PhaseWindows, OccurrenceSelection)
 
 TEST(PhaseWindows, MatchesRealExperimentStructure)
 {
-    auto device = makeNexus5(2, UnitCorner{"pw", 0, 0, 0});
+    auto device = makeUnitForSoc("SD-800", UnitCorner{"pw", 0, 0, 0, 2});
     ExperimentConfig cfg;
     cfg.iterations = 2;
     cfg.accubench.warmupDuration = Time::sec(20);
@@ -238,7 +238,8 @@ TEST(ThrottleAnalysis, MissingChannelIsFatal)
 
 TEST(ThrottleAnalysis, RealExperimentProducesConsistentMetrics)
 {
-    auto device = makeNexus5(3, UnitCorner{"ta", +1.25, +0.10, 0.0});
+    auto device = makeUnitForSoc(
+        "SD-800", UnitCorner{"ta", +1.25, +0.10, 0.0, 3});
     ExperimentConfig cfg;
     cfg.iterations = 1;
     ExperimentResult r = runExperiment(*device, cfg);

@@ -20,7 +20,7 @@ namespace
 std::unique_ptr<Device>
 typicalNexus5()
 {
-    return makeNexus5(2, UnitCorner{"test", 0.0, 0.0, 0.0});
+    return makeUnitForSoc("SD-800", UnitCorner{"test", 0.0, 0.0, 0.0, 2});
 }
 
 TEST(Device, IdentityStrings)
@@ -70,7 +70,7 @@ TEST(Device, ThrottlesAtSustainedLoad)
 {
     // A leaky Nexus 5 at max frequency must engage mitigation within
     // a few minutes and lose frequency.
-    auto d = makeNexus5(3, UnitCorner{"leaky", 1.3, 0.3, 0.0});
+    auto d = makeUnitForSoc("SD-800", UnitCorner{"leaky", 1.3, 0.3, 0.0, 3});
     Simulator sim(Time::msec(10));
     sim.add(d.get());
     d->acquireWakelock();
@@ -185,7 +185,7 @@ TEST(Device, SoakSetsThermalState)
 
 TEST(Device, ResetExperimentStateClearsGovernors)
 {
-    auto d = makeNexus5(3, UnitCorner{"leaky", 1.3, 0.3, 0.0});
+    auto d = makeUnitForSoc("SD-800", UnitCorner{"leaky", 1.3, 0.3, 0.0, 3});
     Simulator sim(Time::msec(10));
     sim.add(d.get());
     d->acquireWakelock();
@@ -227,7 +227,7 @@ TEST(Device, InteractiveModeScalesWithLoad)
 
 TEST(Device, MakeUnitForSocCoversCatalog)
 {
-    for (const auto &soc : studySocNames()) {
+    for (const auto &soc : DeviceRegistry::builtin().studySocNames()) {
         auto d = makeUnitForSoc(soc, UnitCorner{"u", 0.2, 0.1, 0.0});
         EXPECT_EQ(d->socName(), soc);
         EXPECT_EQ(d->unitId(), "u");
@@ -240,7 +240,7 @@ TEST(Device, BackgroundNoisePerturbsScores)
     // Two identical dies, different noise seeds: with background
     // noise configured, scores differ slightly but systematically
     // stay within a fraction of a percent.
-    DeviceConfig cfg = nexus5Config(2);
+    DeviceConfig cfg = resolveDeviceConfig(nexus5Spec(), 2);
     cfg.backgroundNoiseMean = 0.01;
     cfg.backgroundNoisePeriod = Time::sec(5);
 
@@ -265,7 +265,7 @@ TEST(Device, BackgroundNoisePerturbsScores)
 
 TEST(Device, NoiseDisabledIsDeterministicAcrossSeeds)
 {
-    DeviceConfig cfg = nexus5Config(2);
+    DeviceConfig cfg = resolveDeviceConfig(nexus5Spec(), 2);
     cfg.backgroundNoiseMean = 0.0;
     cfg.sensor.noiseSigma = 0.0;
 
@@ -291,11 +291,11 @@ TEST(Device, CatalogModelsConstructAndRun)
 {
     // Every catalog model assembles and survives a minute of load.
     std::vector<std::unique_ptr<Device>> devices;
-    devices.push_back(makeNexus5(0, UnitCorner{"a", 0, 0, 0}));
-    devices.push_back(makeNexus6(UnitCorner{"b", 0, 0, 0}));
-    devices.push_back(makeNexus6p(UnitCorner{"c", 0, 0, 0}));
-    devices.push_back(makeLgG5(UnitCorner{"d", 0, 0, 0}));
-    devices.push_back(makePixel(UnitCorner{"e", 0, 0, 0}));
+    devices.push_back(makeUnitForSoc("SD-800", UnitCorner{"a", 0, 0, 0, 0}));
+    devices.push_back(makeUnitForSoc("SD-805", UnitCorner{"b", 0, 0, 0}));
+    devices.push_back(makeUnitForSoc("SD-810", UnitCorner{"c", 0, 0, 0}));
+    devices.push_back(makeUnitForSoc("SD-820", UnitCorner{"d", 0, 0, 0}));
+    devices.push_back(makeUnitForSoc("SD-821", UnitCorner{"e", 0, 0, 0}));
 
     for (auto &d : devices) {
         Simulator sim(Time::msec(10));
@@ -341,7 +341,7 @@ TEST(Device, Nexus5BinTablesMonotoneAcrossBins)
 
 TEST(Device, Pixel2ExtensionConstructsAndRuns)
 {
-    auto d = makePixel2(UnitCorner{"p2", 0.3, 0.1, 0.0});
+    auto d = makeUnitForSoc("SD-835", UnitCorner{"p2", 0.3, 0.1, 0.0});
     EXPECT_EQ(d->socName(), "SD-835");
     EXPECT_EQ(d->soc().clusterCount(), 2u);
     EXPECT_EQ(d->soc().totalCores(), 8);
@@ -369,19 +369,20 @@ TEST(Device, TenNanometerNodeContinuesTrends)
 
 TEST(Device, FleetsHaveStudySizes)
 {
-    EXPECT_EQ(nexus5Fleet().size(), 4u);
-    EXPECT_EQ(nexus6Fleet().size(), 3u);
-    EXPECT_EQ(nexus6pFleet().size(), 3u);
-    EXPECT_EQ(lgG5Fleet().size(), 5u);
-    EXPECT_EQ(pixelFleet().size(), 3u);
+    EXPECT_EQ(fleetForSoc("SD-800").size(), 4u);
+    EXPECT_EQ(fleetForSoc("SD-805").size(), 3u);
+    EXPECT_EQ(fleetForSoc("SD-810").size(), 3u);
+    EXPECT_EQ(fleetForSoc("SD-820").size(), 5u);
+    EXPECT_EQ(fleetForSoc("SD-821").size(), 3u);
 }
 
 TEST(Device, FleetHelpers)
 {
-    EXPECT_EQ(studySocNames().size(), 5u);
+    const DeviceRegistry &reg = DeviceRegistry::builtin();
+    EXPECT_EQ(reg.studySocNames().size(), 5u);
     EXPECT_EQ(fleetForSoc("SD-810").size(), 3u);
-    EXPECT_DOUBLE_EQ(fixedFrequencyForSoc("SD-800").value(), 1574.0);
-    EXPECT_DOUBLE_EQ(studyMonsoonVoltageForSoc("SD-820").value(), 4.40);
+    EXPECT_DOUBLE_EQ(reg.at("SD-800").fixedFrequency.value(), 1574.0);
+    EXPECT_DOUBLE_EQ(reg.at("SD-820").monsoonVoltage.value(), 4.40);
     EXPECT_DEATH((void)fleetForSoc("SD-999"), "");
 }
 

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "accubench/experiment.hh"
-#include "device/catalog.hh"
+#include "device/fleet.hh"
 
 namespace pvar
 {
@@ -26,7 +26,7 @@ quickConfig()
 
 TEST(Experiment, RunsRequestedIterations)
 {
-    auto d = makeNexus5(2, UnitCorner{"x", 0, 0, 0});
+    auto d = makeUnitForSoc("SD-800", UnitCorner{"x", 0, 0, 0, 2});
     ExperimentResult r = runExperiment(*d, quickConfig());
     ASSERT_EQ(r.iterations.size(), 2u);
     EXPECT_EQ(r.unitId, "x");
@@ -40,7 +40,7 @@ TEST(Experiment, RunsRequestedIterations)
 
 TEST(Experiment, SummariesMatchIterations)
 {
-    auto d = makeNexus5(2, UnitCorner{"x", 0, 0, 0});
+    auto d = makeUnitForSoc("SD-800", UnitCorner{"x", 0, 0, 0, 2});
     ExperimentResult r = runExperiment(*d, quickConfig());
     double sum = 0.0;
     for (const auto &it : r.iterations)
@@ -51,7 +51,7 @@ TEST(Experiment, SummariesMatchIterations)
 
 TEST(Experiment, FixedFrequencyModePins)
 {
-    auto d = makeNexus5(2, UnitCorner{"x", 0, 0, 0});
+    auto d = makeUnitForSoc("SD-800", UnitCorner{"x", 0, 0, 0, 2});
     ExperimentConfig cfg = quickConfig();
     cfg.mode = WorkloadMode::FixedFrequency;
     cfg.fixedFrequency = MegaHertz(960);
@@ -65,7 +65,7 @@ TEST(Experiment, FixedFrequencyModePins)
 
 TEST(Experiment, UnconstrainedOutscoresFixed)
 {
-    auto d = makeNexus5(2, UnitCorner{"x", 0, 0, 0});
+    auto d = makeUnitForSoc("SD-800", UnitCorner{"x", 0, 0, 0, 2});
     ExperimentResult unc = runExperiment(*d, quickConfig());
     ExperimentConfig fix_cfg = quickConfig();
     fix_cfg.mode = WorkloadMode::FixedFrequency;
@@ -76,7 +76,7 @@ TEST(Experiment, UnconstrainedOutscoresFixed)
 
 TEST(Experiment, MonsoonVoltageChoicesWork)
 {
-    auto d = makeLgG5(UnitCorner{"g5", 0, 0, 0});
+    auto d = makeUnitForSoc("SD-820", UnitCorner{"g5", 0, 0, 0});
 
     ExperimentConfig nominal = quickConfig();
     nominal.supply = SupplyChoice::MonsoonNominal; // 3.85 V -> throttled
@@ -93,7 +93,7 @@ TEST(Experiment, MonsoonVoltageChoicesWork)
 
 TEST(Experiment, BatterySupplyMatchesHighVoltageMonsoon)
 {
-    auto d = makeLgG5(UnitCorner{"g5", 0, 0, 0});
+    auto d = makeUnitForSoc("SD-820", UnitCorner{"g5", 0, 0, 0});
 
     ExperimentConfig batt = quickConfig();
     batt.supply = SupplyChoice::Battery;
@@ -111,7 +111,7 @@ TEST(Experiment, BatterySupplyMatchesHighVoltageMonsoon)
 
 TEST(Experiment, TraceCoversWholeRun)
 {
-    auto d = makeNexus5(2, UnitCorner{"x", 0, 0, 0});
+    auto d = makeUnitForSoc("SD-800", UnitCorner{"x", 0, 0, 0, 2});
     ExperimentResult r = runExperiment(*d, quickConfig());
     ASSERT_TRUE(r.trace.hasChannel("die_temp"));
     const auto &ch = r.trace.channel("die_temp");
@@ -121,7 +121,7 @@ TEST(Experiment, TraceCoversWholeRun)
 
 TEST(Experiment, DeviceRestoredAfterRun)
 {
-    auto d = makeNexus5(2, UnitCorner{"x", 0, 0, 0});
+    auto d = makeUnitForSoc("SD-800", UnitCorner{"x", 0, 0, 0, 2});
     ExperimentConfig cfg = quickConfig();
     cfg.mode = WorkloadMode::FixedFrequency;
     cfg.fixedFrequency = MegaHertz(300);
@@ -134,7 +134,7 @@ TEST(Experiment, HotterAmbientCostsEnergy)
 {
     // The Fig 2 mechanism in miniature: same work at higher chamber
     // temperature needs more energy.
-    auto d = makeNexus5(2, UnitCorner{"x", 0.5, 0.2, 0});
+    auto d = makeUnitForSoc("SD-800", UnitCorner{"x", 0.5, 0.2, 0, 2});
     ExperimentConfig cool = quickConfig();
     cool.mode = WorkloadMode::FixedFrequency;
     cool.fixedFrequency = MegaHertz(1574);

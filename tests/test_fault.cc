@@ -504,6 +504,15 @@ TEST(FaultJson, RejectsBadDocuments)
         parse("{\"rules\": [{\"site\": \"sensor.read\", "
               "\"probability\": 1.5}]}"),
         JsonError);
+    // Integers out of range are rejected before any conversion.
+    EXPECT_THROW(
+        parse("{\"rules\": [{\"site\": \"sensor.read\", "
+              "\"counts\": [-1]}]}"),
+        JsonError);
+    EXPECT_THROW(
+        parse("{\"rules\": [{\"site\": \"sensor.read\", "
+              "\"every\": 1e30}]}"),
+        JsonError);
     // An empty plan is fine.
     FaultPlan empty = parse("{}");
     EXPECT_EQ(empty.rules().size(), 0u);

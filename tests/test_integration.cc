@@ -125,7 +125,7 @@ class SeedSweep : public ::testing::TestWithParam<int>
 TEST_P(SeedSweep, RandomScenarioKeepsInvariants)
 {
     Rng rng(static_cast<std::uint64_t>(GetParam()));
-    const auto &socs = studySocNames();
+    const auto &socs = DeviceRegistry::builtin().studySocNames();
     std::string soc =
         socs[static_cast<std::size_t>(rng.uniformInt(
             0, static_cast<std::int64_t>(socs.size()) - 1))];
@@ -141,7 +141,7 @@ TEST_P(SeedSweep, RandomScenarioKeepsInvariants)
     ExperimentConfig cfg;
     cfg.mode = rng.uniform() < 0.5 ? WorkloadMode::Unconstrained
                                    : WorkloadMode::FixedFrequency;
-    cfg.fixedFrequency = fixedFrequencyForSoc(soc);
+    cfg.fixedFrequency = DeviceRegistry::builtin().at(soc).fixedFrequency;
     cfg.iterations = 2;
     cfg.accubench.warmupDuration = Time::sec(45);
     cfg.accubench.workloadDuration = Time::sec(90);
@@ -172,7 +172,7 @@ TEST(Determinism, FreshIdenticalDevicesProduceIdenticalResults)
     double scores[2];
     double energies[2];
     for (int i = 0; i < 2; ++i) {
-        Fleet fleet = nexus5Fleet();
+        Fleet fleet = fleetForSoc("SD-800");
         ExperimentResult r = runExperiment(*fleet[1], cfg);
         scores[i] = r.meanScore();
         energies[i] = r.meanWorkloadEnergy().value();
@@ -183,7 +183,7 @@ TEST(Determinism, FreshIdenticalDevicesProduceIdenticalResults)
 
 TEST(Determinism, FleetUnitsHaveDistinctSilicon)
 {
-    Fleet fleet = nexus5Fleet();
+    Fleet fleet = fleetForSoc("SD-800");
     for (std::size_t a = 0; a < fleet.size(); ++a) {
         for (std::size_t b = a + 1; b < fleet.size(); ++b) {
             EXPECT_NE(fleet[a]->soc().die().params().leakFactor,
@@ -201,8 +201,9 @@ TEST(Integration, LeakierSiblingCostsMoreEnergyAtFixedWork)
     cfg.fixedFrequency = MegaHertz(1574);
     cfg.iterations = 2;
 
-    auto frugal = makeNexus5(2, UnitCorner{"a", -1.0, -0.2, 0.0});
-    auto leaky = makeNexus5(2, UnitCorner{"b", +1.0, +0.2, 0.0});
+    auto frugal = makeUnitForSoc(
+        "SD-800", UnitCorner{"a", -1.0, -0.2, 0.0, 2});
+    auto leaky = makeUnitForSoc("SD-800", UnitCorner{"b", +1.0, +0.2, 0.0, 2});
     ExperimentResult fr = runExperiment(*frugal, cfg);
     ExperimentResult lr = runExperiment(*leaky, cfg);
 
@@ -214,7 +215,8 @@ TEST(Integration, LeakierSiblingCostsMoreEnergyAtFixedWork)
 
 TEST(Integration, HotterChamberLowersUnconstrainedScore)
 {
-    auto device = makeNexus5(3, UnitCorner{"x", +1.0, +0.1, 0.0});
+    auto device = makeUnitForSoc(
+        "SD-800", UnitCorner{"x", +1.0, +0.1, 0.0, 3});
     double scores[2];
     int idx = 0;
     for (double ambient : {15.0, 38.0}) {

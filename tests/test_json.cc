@@ -180,6 +180,27 @@ TEST(JsonValueAccessors, ThrowJsonErrorOnMismatch)
     }
 }
 
+TEST(JsonInteger, RangeCheckedBeforeConversion)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(jsonInteger<int>(2147483647.0, 0), 2147483647);
+    EXPECT_EQ(jsonInteger<int>(-5.0, -5), -5);
+    EXPECT_FALSE(jsonInteger<int>(2147483648.0, 0));
+    EXPECT_FALSE(jsonInteger<int>(1e10, 1));
+    EXPECT_FALSE(jsonInteger<int>(-1e300, 1));
+    EXPECT_FALSE(jsonInteger<int>(1.5, 1));
+    EXPECT_FALSE(jsonInteger<int>(0.0, 1));
+    EXPECT_FALSE(jsonInteger<int>(inf, 0));
+    EXPECT_FALSE(jsonInteger<int>(std::nan(""), 0));
+
+    using u64 = std::uint64_t;
+    EXPECT_EQ(jsonInteger<u64>(9007199254740992.0, 0), 9007199254740992u);
+    EXPECT_EQ(jsonInteger<u64>(-0.0, 0), 0u);
+    EXPECT_FALSE(jsonInteger<u64>(18446744073709551616.0, 0));
+    EXPECT_FALSE(jsonInteger<u64>(1e30, 0));
+    EXPECT_FALSE(jsonInteger<u64>(-1.0, 0));
+}
+
 TEST(JsonWriterTest, RawValueEmbedsVerbatim)
 {
     JsonWriter w;

@@ -278,6 +278,10 @@ TEST(StudyServiceHandle, MalformedStudyBodiesAre400s)
               400);
     EXPECT_EQ(post(R"({"soc": "SD-805", "ambient": "warm"})").status,
               400);
+    // Beyond int: range-checked before any conversion.
+    EXPECT_EQ(
+        post(R"({"device": "SD-805:unit-b", "iterations": 1e10})").status,
+        400);
 
     // Missing keys and unknown names.
     EXPECT_EQ(post(R"({"fleet": [ {} ]})").status, 400);
@@ -344,6 +348,14 @@ TEST(StudyServiceHandle, CrowdMatchesTheCliBytesAndRejects)
               400);
     EXPECT_EQ(svc.handle(makeRequest("POST", "/crowd",
                                      R"({"dies": 64, "soc": "SD-9999"})"))
+                  .status,
+              400);
+    EXPECT_EQ(svc.handle(makeRequest("POST", "/crowd",
+                                     R"({"dies": -1e300})"))
+                  .status,
+              400);
+    EXPECT_EQ(svc.handle(makeRequest("POST", "/crowd",
+                                     R"({"dies": 64, "strata": 1.5})"))
                   .status,
               400);
 

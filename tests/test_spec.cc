@@ -831,7 +831,7 @@ TEST(SpecEquivalence, Nexus5AllBins)
     for (int bin = 0; bin <= 6; ++bin) {
         SCOPED_TRACE(bin);
         expectConfigsEqual(legacy::n5::nexus5Config(bin),
-                           nexus5Config(bin));
+                           resolveDeviceConfig(nexus5Spec(), bin));
     }
 }
 
@@ -839,58 +839,65 @@ TEST(SpecEquivalence, Nexus5BuiltDevices)
 {
     for (const UnitCorner &corner : probeCorners) {
         SCOPED_TRACE(corner.id);
+        UnitCorner bin2 = corner;
+        bin2.bin = 2;
         expectConfigsEqual(legacy::n5::makeNexus5(2, corner)->config(),
-                           makeNexus5(2, corner)->config());
+                           makeUnitForSoc("SD-800", bin2)->config());
     }
 }
 
 TEST(SpecEquivalence, Nexus6)
 {
-    expectConfigsEqual(legacy::n6::nexus6Config(), nexus6Config());
+    expectConfigsEqual(legacy::n6::nexus6Config(),
+                       resolveDeviceConfig(nexus6Spec(), 0));
     for (const UnitCorner &corner : probeCorners) {
         SCOPED_TRACE(corner.id);
         expectConfigsEqual(legacy::n6::makeNexus6(corner)->config(),
-                           makeNexus6(corner)->config());
+                           makeUnitForSoc("SD-805", corner)->config());
     }
 }
 
 TEST(SpecEquivalence, Nexus6p)
 {
-    expectConfigsEqual(legacy::n6p::nexus6pConfig(), nexus6pConfig());
+    expectConfigsEqual(legacy::n6p::nexus6pConfig(),
+                       resolveDeviceConfig(nexus6pSpec(), 0));
     for (const UnitCorner &corner : probeCorners) {
         SCOPED_TRACE(corner.id);
         expectConfigsEqual(legacy::n6p::makeNexus6p(corner)->config(),
-                           makeNexus6p(corner)->config());
+                           makeUnitForSoc("SD-810", corner)->config());
     }
 }
 
 TEST(SpecEquivalence, LgG5)
 {
-    expectConfigsEqual(legacy::g5::lgG5Config(), lgG5Config());
+    expectConfigsEqual(legacy::g5::lgG5Config(),
+                       resolveDeviceConfig(lgG5Spec(), 0));
     for (const UnitCorner &corner : probeCorners) {
         SCOPED_TRACE(corner.id);
         expectConfigsEqual(legacy::g5::makeLgG5(corner)->config(),
-                           makeLgG5(corner)->config());
+                           makeUnitForSoc("SD-820", corner)->config());
     }
 }
 
 TEST(SpecEquivalence, Pixel)
 {
-    expectConfigsEqual(legacy::px::pixelConfig(), pixelConfig());
+    expectConfigsEqual(legacy::px::pixelConfig(),
+                       resolveDeviceConfig(pixelSpec(), 0));
     for (const UnitCorner &corner : probeCorners) {
         SCOPED_TRACE(corner.id);
         expectConfigsEqual(legacy::px::makePixel(corner)->config(),
-                           makePixel(corner)->config());
+                           makeUnitForSoc("SD-821", corner)->config());
     }
 }
 
 TEST(SpecEquivalence, Pixel2)
 {
-    expectConfigsEqual(legacy::p2::pixel2Config(), pixel2Config());
+    expectConfigsEqual(legacy::p2::pixel2Config(),
+                       resolveDeviceConfig(pixel2Spec(), 0));
     for (const UnitCorner &corner : probeCorners) {
         SCOPED_TRACE(corner.id);
         expectConfigsEqual(legacy::p2::makePixel2(corner)->config(),
-                           makePixel2(corner)->config());
+                           makeUnitForSoc("SD-835", corner)->config());
     }
 }
 
@@ -913,7 +920,6 @@ TEST(Registry, StudySocNamesMatchPaperOrder)
         "SD-800", "SD-805", "SD-810", "SD-820", "SD-821",
     };
     EXPECT_EQ(DeviceRegistry::builtin().studySocNames(), expected);
-    EXPECT_EQ(studySocNames(), expected); // legacy alias
 }
 
 TEST(Registry, FindUnit)

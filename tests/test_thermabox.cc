@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "device/catalog.hh"
+#include "device/fleet.hh"
 #include "sim/simulator.hh"
 #include "thermabox/thermabox.hh"
 
@@ -30,7 +30,7 @@ TEST(Thermabox, RegulatesAgainstDeviceHeat)
     // A phone dumping several watts into the chamber must not push
     // the air out of the paper's +/-0.5 C band.
     Thermabox box((ThermaboxParams()));
-    auto device = makeNexus5(2, UnitCorner{"x", 0, 0, 0});
+    auto device = makeUnitForSoc("SD-800", UnitCorner{"x", 0, 0, 0, 2});
     Simulator sim(Time::msec(10));
     sim.add(&box);
     sim.add(device.get());
@@ -88,7 +88,7 @@ TEST(Thermabox, CouplesDeviceAmbient)
     ThermaboxParams params;
     params.target = Celsius(35.0);
     Thermabox box(params);
-    auto device = makeNexus5(2, UnitCorner{"x", 0, 0, 0});
+    auto device = makeUnitForSoc("SD-800", UnitCorner{"x", 0, 0, 0, 2});
     box.placeDevice(device.get());
     EXPECT_NEAR(
         device->thermalPackage().ambientTemp().value(), 35.0, 0.1);
