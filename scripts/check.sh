@@ -123,7 +123,8 @@ EOF
 kill_recovery ./build/pvar_served ./build/pvar_study ./build/pvar_storectl
 
 # Chaos replay: a pinned fault plan must reproduce the same faulted
-# study byte-for-byte at any jobs count (retries, quarantine and all),
+# study byte-for-byte at any jobs count and cohort width (retries,
+# quarantine and all),
 # and an injected store I/O fault must degrade persistence gracefully
 # without changing a single result byte.
 chaos() {
@@ -142,6 +143,12 @@ EOF
     "$study" --soc SD-805 --iterations 1 --jobs 4 --json --quiet \
         --fault-plan "$tmp/chaos.json" --output "$tmp/chaos4.json"
     cmp "$tmp/chaos1.json" "$tmp/chaos4.json"
+    # Retries inside multi-member cohorts: attempt rounds of width-8
+    # cohorts must replay the same faulted study byte-for-byte.
+    "$study" --soc SD-805 --iterations 1 --jobs 4 --batch 8 --json \
+        --quiet --fault-plan "$tmp/chaos.json" \
+        --output "$tmp/chaos4b8.json"
+    cmp "$tmp/chaos1.json" "$tmp/chaos4b8.json"
     # The plan must actually have bitten: at least one retry logged.
     grep -q 'retrying' "$tmp/chaos1.err"
 

@@ -23,6 +23,11 @@
  * simply leaves the common stage rounds early (a cohort "split") and
  * re-enters them at its next protocol phase (the "rejoin"); the
  * lockstep is purely a throughput pattern.
+ *
+ * The study supervisor (accubench/protocol.cc) runs every experiment
+ * attempt through this engine: cohorts of up to resolveBatchSize()
+ * same-(model, mode) dies, one engine call per attempt round, and
+ * runExperiment() is the width-1 case.
  */
 
 #ifndef PVAR_ACCUBENCH_BATCH_HH
@@ -56,7 +61,7 @@ struct CohortTask
 /**
  * Cohort width to use when the configured batch is 0 (engine pick):
  * the fast solver amortizes across 16 dies; the stepped reference
- * gains nothing from interleaving, so it stays serial.
+ * gains nothing from interleaving, so it runs width-1 cohorts.
  */
 int resolveBatchSize(int batch, SolverKind solver);
 

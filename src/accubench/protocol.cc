@@ -29,6 +29,12 @@ struct ExperimentTask
     ExperimentConfig cfg;
 };
 
+const std::string &
+unitId(const ExperimentTask &task)
+{
+    return task.entry->units.at(task.unitIndex).id;
+}
+
 const char *
 modeName(WorkloadMode mode)
 {
@@ -37,162 +43,56 @@ modeName(WorkloadMode mode)
 }
 
 /**
- * Supervise one task: attempt, classify, retry, and — when the budget
- * runs out — quarantine (or escalate).
- *
- * Every fault decision inside the attempt (experiment.run, sensor
- * reads, thermabox regulation) runs under a FaultScope keyed by
- * (task index, attempt), so the decision sequence is a pure function
- * of the plan seed and the task — bit-identical at any jobs count.
- * The experiment.run check fires *before* the cache lookup so a warm
- * cache faults exactly like a cold one.
- */
-ExperimentResult
-superviseTaskFrom(const ExperimentTask &task, std::size_t task_index,
-                  const StudyConfig &study, int start_attempt,
-                  ExperimentStatus last)
-{
-    ExperimentCache *cache = study.cache;
-    int max_attempts = std::max(1, study.retry.maxAttempts);
-    const std::string &unit_id =
-        task.entry->units.at(task.unitIndex).id;
-
-    for (int attempt = start_attempt; attempt < max_attempts;
-         ++attempt) {
-        ExperimentConfig acfg = task.cfg;
-        acfg.retrySalt = static_cast<std::uint64_t>(attempt);
-        FaultScope scope(faultScopeId(task_index,
-                                      static_cast<std::uint64_t>(
-                                          attempt)));
-
-        FaultHit hit = faultCheck(FaultSite::ExperimentRun);
-        if (hit.fired) {
-            if (hit.kind == FaultKind::Permanent) {
-                throw PermanentFaultError(
-                    strfmt("unit %s %s: injected permanent fault",
-                           unit_id.c_str(), modeName(acfg.mode)));
-            }
-            last = ExperimentStatus::TransientFault;
-            warn("study:   unit %s %s attempt %d/%d: transient "
-                 "fault%s",
-                 unit_id.c_str(), modeName(acfg.mode), attempt + 1,
-                 max_attempts,
-                 attempt + 1 < max_attempts ? "; retrying" : "");
-            continue;
-        }
-
-        auto compute = [&task, &acfg]() {
-            std::unique_ptr<Device> device = buildDevice(
-                task.entry->spec,
-                task.entry->units.at(task.unitIndex), acfg.retrySalt);
-            inform("study:   unit %s %s%s", device->unitId().c_str(),
-                   modeName(acfg.mode),
-                   acfg.retrySalt
-                       ? strfmt(" (retry %llu)",
-                                static_cast<unsigned long long>(
-                                    acfg.retrySalt))
-                             .c_str()
-                       : "");
-            return runExperiment(*device, acfg);
-        };
-        ExperimentResult result =
-            cache ? cache->getOrCompute(*task.entry, task.unitIndex,
-                                        acfg, compute)
-                  : compute();
-        ExperimentStatus status =
-            classifyExperiment(result, acfg, study.gate);
-        result.status = status;
-        result.attempts = static_cast<std::uint32_t>(attempt + 1);
-        result.quarantined = false;
-        if (status == ExperimentStatus::Ok)
-            return result;
-        last = status;
-        warn("study:   unit %s %s attempt %d/%d: %s%s",
-             unit_id.c_str(), modeName(acfg.mode), attempt + 1,
-             max_attempts, experimentStatusName(status),
-             attempt + 1 < max_attempts ? "; retrying" : "");
-    }
-
-    if (!study.retry.quarantine) {
-        throw PermanentFaultError(
-            strfmt("unit %s %s: %d attempts exhausted (last: %s)",
-                   unit_id.c_str(), modeName(task.cfg.mode),
-                   max_attempts, experimentStatusName(last)));
-    }
-    warn("study:   unit %s %s quarantined after %d attempts "
-         "(last: %s)",
-         unit_id.c_str(), modeName(task.cfg.mode), max_attempts,
-         experimentStatusName(last));
-    ExperimentResult benched;
-    benched.unitId = unit_id;
-    benched.model = task.entry->spec.model;
-    benched.socName = task.entry->spec.socName;
-    benched.status = last;
-    benched.attempts = static_cast<std::uint32_t>(max_attempts);
-    benched.quarantined = true;
-    return benched;
-}
-
-ExperimentResult
-superviseTask(const ExperimentTask &task, std::size_t task_index,
-              const StudyConfig &study)
-{
-    return superviseTaskFrom(task, task_index, study, 0,
-                             ExperimentStatus::TransientFault);
-}
-
-/**
- * Chunk the task list into cohorts of up to `batch` same-(entry, mode)
- * tasks. Adjacent tasks alternate modes (unit 0 unc, unit 0 fix, ...),
- * so tasks are bucketed first — cohort members must match so they can
- * share a thermal eigendecomposition and stay phase-aligned.
+ * Chunk the task list into cohorts of up to `width` same-(entry, mode)
+ * tasks: members must match so they can share a thermal
+ * eigendecomposition and stay phase-aligned. Adjacent tasks alternate
+ * modes (unit 0 unc, unit 0 fix, ...), so each (entry, mode) keeps one
+ * open cohort that fills as its tasks arrive. Cohorts are listed in
+ * the order of their first task, so at width 1 they run in task order.
  */
 std::vector<std::vector<std::size_t>>
-planCohorts(const std::vector<ExperimentTask> &tasks, int batch)
+planCohorts(const std::vector<ExperimentTask> &tasks, std::size_t width)
 {
-    struct Bucket
+    struct Open
     {
         const RegistryEntry *entry;
         WorkloadMode mode;
-        std::vector<std::size_t> idxs;
+        std::size_t cohort;
     };
-    std::vector<Bucket> buckets;
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        Bucket *bucket = nullptr;
-        for (Bucket &b : buckets) {
-            if (b.entry == tasks[i].entry &&
-                b.mode == tasks[i].cfg.mode) {
-                bucket = &b;
-                break;
-            }
-        }
-        if (!bucket) {
-            buckets.push_back(
-                Bucket{tasks[i].entry, tasks[i].cfg.mode, {}});
-            bucket = &buckets.back();
-        }
-        bucket->idxs.push_back(i);
-    }
-
+    std::vector<Open> open;
     std::vector<std::vector<std::size_t>> cohorts;
-    std::size_t width = static_cast<std::size_t>(batch);
-    for (Bucket &b : buckets) {
-        for (std::size_t off = 0; off < b.idxs.size(); off += width) {
-            std::size_t end = std::min(b.idxs.size(), off + width);
-            cohorts.emplace_back(b.idxs.begin() + off,
-                                 b.idxs.begin() + end);
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        const ExperimentTask &task = tasks[i];
+        auto it = std::find_if(open.begin(), open.end(),
+                               [&](const Open &o) {
+                                   return o.entry == task.entry &&
+                                          o.mode == task.cfg.mode;
+                               });
+        if (it == open.end()) {
+            it = open.insert(open.end(), Open{task.entry, task.cfg.mode, 0});
+        } else if (cohorts[it->cohort].size() < width) {
+            cohorts[it->cohort].push_back(i);
+            continue;
         }
+        it->cohort = cohorts.size();
+        cohorts.push_back({i});
     }
     return cohorts;
 }
 
 /**
- * Supervise one cohort's tasks: attempt 0 runs through the batch
- * engine, everything after that — classification, retries, quarantine
- * — reuses the serial supervisor from attempt 1. Attempts are
- * independent (own fault scope, own retry-salted device), so the
- * retry tail is bit-identical to the unbatched path; attempt 0 is
- * bit-identical by the engine's determinism contract.
+ * Supervise one cohort's tasks in attempt rounds: attempt, classify,
+ * retry, and — when the budget runs out — quarantine (or escalate).
+ *
+ * Round k takes the slots still pending. Each gets a fresh FaultFrame
+ * keyed by (task index, k) and retrySalt = k; the experiment.run check
+ * fires before the cache lookup, so a warm cache faults exactly like a
+ * cold one. The misses run as one engine cohort, are inserted, and are
+ * classified: an Ok slot is done, a failed one goes to round k+1.
+ * Every fault decision of an attempt counts against its own frame, and
+ * each attempt builds its own retry-salted device, so a slot's bytes
+ * do not depend on which slots share its rounds — bit-identical at any
+ * jobs count and cohort width.
  */
 void
 superviseCohort(const std::vector<ExperimentTask> &tasks,
@@ -206,131 +106,156 @@ superviseCohort(const std::vector<ExperimentTask> &tasks,
     struct Slot
     {
         std::size_t taskIndex = 0;
+        ExperimentStatus last = ExperimentStatus::TransientFault;
+        // This round's attempt.
         std::unique_ptr<FaultFrame> frame;
         ExperimentConfig acfg;
-        std::unique_ptr<Device> device; // set iff attempt 0 must run
+        std::unique_ptr<Device> device; // set iff the attempt must run
         bool faulted = false;           // experiment.run fired
-        ExperimentStatus last = ExperimentStatus::TransientFault;
-        ExperimentResult result; // cache hit or engine output
+        ExperimentResult result;        // cache hit or engine output
     };
 
-    std::vector<Slot> slots;
-    slots.reserve(cohort.size());
-    for (std::size_t ti : cohort) {
-        const ExperimentTask &task = tasks[ti];
-        const std::string &unit_id =
-            task.entry->units.at(task.unitIndex).id;
-        Slot slot;
-        slot.taskIndex = ti;
-        slot.acfg = task.cfg;
-        slot.acfg.retrySalt = 0;
-        slot.frame = std::make_unique<FaultFrame>(faultScopeId(ti, 0));
-
-        FaultFrameGuard guard(slot.frame.get());
-        FaultHit hit = faultCheck(FaultSite::ExperimentRun);
-        if (hit.fired) {
-            if (hit.kind == FaultKind::Permanent) {
-                throw PermanentFaultError(
-                    strfmt("unit %s %s: injected permanent fault",
-                           unit_id.c_str(), modeName(slot.acfg.mode)));
-            }
-            slot.faulted = true;
-            warn("study:   unit %s %s attempt %d/%d: transient "
-                 "fault%s",
-                 unit_id.c_str(), modeName(slot.acfg.mode), 1,
-                 max_attempts, 1 < max_attempts ? "; retrying" : "");
-        } else if (!cache ||
-                   !cache->lookup(*task.entry, task.unitIndex,
-                                  slot.acfg, slot.result)) {
-            slot.device = buildDevice(
-                task.entry->spec, task.entry->units.at(task.unitIndex),
-                slot.acfg.retrySalt);
-            inform("study:   unit %s %s",
-                   slot.device->unitId().c_str(),
-                   modeName(slot.acfg.mode));
-        }
-        slots.push_back(std::move(slot));
+    std::vector<Slot> slots(cohort.size());
+    std::vector<Slot *> pending;
+    for (std::size_t j = 0; j < cohort.size(); ++j) {
+        slots[j].taskIndex = cohort[j];
+        pending.push_back(&slots[j]);
     }
 
-    // Attempt 0, interleaved across the cohort.
-    std::vector<CohortTask> engine_tasks;
-    std::vector<Slot *> running;
-    for (Slot &slot : slots) {
-        if (!slot.device)
-            continue;
-        CohortTask ct;
-        ct.device = slot.device.get();
-        ct.cfg = slot.acfg;
-        ct.faultFrame = slot.frame.get();
-        engine_tasks.push_back(std::move(ct));
-        running.push_back(&slot);
-    }
-    if (!engine_tasks.empty()) {
-        std::vector<ExperimentResult> engine_results =
-            runExperimentCohort(engine_tasks);
-        for (std::size_t j = 0; j < running.size(); ++j) {
-            Slot &slot = *running[j];
-            slot.result = std::move(engine_results[j]);
-            if (cache) {
-                const ExperimentTask &task = tasks[slot.taskIndex];
-                FaultFrameGuard guard(slot.frame.get());
-                cache->insert(*task.entry, task.unitIndex, slot.acfg,
-                              slot.result);
-            }
-        }
-    }
+    for (int attempt = 0; attempt < max_attempts && !pending.empty();
+         ++attempt) {
+        const char *retrying =
+            attempt + 1 < max_attempts ? "; retrying" : "";
+        std::vector<CohortTask> engine_tasks;
+        std::vector<Slot *> running;
+        for (Slot *slot : pending) {
+            const ExperimentTask &task = tasks[slot->taskIndex];
+            slot->acfg = task.cfg;
+            slot->acfg.retrySalt = static_cast<std::uint64_t>(attempt);
+            slot->frame = std::make_unique<FaultFrame>(faultScopeId(
+                slot->taskIndex, static_cast<std::uint64_t>(attempt)));
+            slot->device.reset();
 
-    for (Slot &slot : slots) {
-        const ExperimentTask &task = tasks[slot.taskIndex];
-        const std::string &unit_id =
-            task.entry->units.at(task.unitIndex).id;
-        if (!slot.faulted) {
-            ExperimentStatus status =
-                classifyExperiment(slot.result, slot.acfg, study.gate);
-            slot.result.status = status;
-            slot.result.attempts = 1;
-            slot.result.quarantined = false;
-            if (status == ExperimentStatus::Ok) {
-                results[slot.taskIndex] = std::move(slot.result);
+            FaultFrameGuard guard(slot->frame.get());
+            FaultHit hit = faultCheck(FaultSite::ExperimentRun);
+            slot->faulted = hit.fired;
+            if (hit.fired) {
+                if (hit.kind == FaultKind::Permanent) {
+                    throw PermanentFaultError(
+                        strfmt("unit %s %s: injected permanent fault",
+                               unitId(task).c_str(),
+                               modeName(slot->acfg.mode)));
+                }
+                slot->last = ExperimentStatus::TransientFault;
+                warn("study:   unit %s %s attempt %d/%d: transient "
+                     "fault%s",
+                     unitId(task).c_str(), modeName(slot->acfg.mode),
+                     attempt + 1, max_attempts, retrying);
                 continue;
             }
-            slot.last = status;
-            warn("study:   unit %s %s attempt %d/%d: %s%s",
-                 unit_id.c_str(), modeName(slot.acfg.mode), 1,
-                 max_attempts, experimentStatusName(status),
-                 1 < max_attempts ? "; retrying" : "");
+            if (cache && cache->lookup(*task.entry, task.unitIndex,
+                                       slot->acfg, slot->result))
+                continue;
+            slot->device = buildDevice(
+                task.entry->spec, task.entry->units.at(task.unitIndex),
+                slot->acfg.retrySalt);
+            inform("study:   unit %s %s%s", unitId(task).c_str(),
+                   modeName(slot->acfg.mode),
+                   attempt ? strfmt(" (retry %d)", attempt).c_str() : "");
+            CohortTask ct;
+            ct.device = slot->device.get();
+            ct.cfg = slot->acfg;
+            ct.faultFrame = slot->frame.get();
+            engine_tasks.push_back(std::move(ct));
+            running.push_back(slot);
         }
-        results[slot.taskIndex] = superviseTaskFrom(
-            task, slot.taskIndex, study, 1, slot.last);
+
+        if (!engine_tasks.empty()) {
+            std::vector<ExperimentResult> engine_results =
+                runExperimentCohort(engine_tasks);
+            for (std::size_t j = 0; j < running.size(); ++j) {
+                Slot &slot = *running[j];
+                slot.result = std::move(engine_results[j]);
+                if (cache) {
+                    const ExperimentTask &task = tasks[slot.taskIndex];
+                    FaultFrameGuard guard(slot.frame.get());
+                    cache->insert(*task.entry, task.unitIndex, slot.acfg,
+                                  slot.result);
+                }
+            }
+        }
+
+        std::vector<Slot *> failed;
+        for (Slot *slot : pending) {
+            if (slot->faulted) {
+                failed.push_back(slot);
+                continue;
+            }
+            ExperimentStatus status =
+                classifyExperiment(slot->result, slot->acfg, study.gate);
+            if (status == ExperimentStatus::Ok) {
+                ExperimentResult &out = results[slot->taskIndex];
+                out = std::move(slot->result);
+                out.status = status;
+                out.attempts = static_cast<std::uint32_t>(attempt + 1);
+                out.quarantined = false;
+                continue;
+            }
+            slot->last = status;
+            warn("study:   unit %s %s attempt %d/%d: %s%s",
+                 unitId(tasks[slot->taskIndex]).c_str(),
+                 modeName(slot->acfg.mode), attempt + 1, max_attempts,
+                 experimentStatusName(status), retrying);
+            failed.push_back(slot);
+        }
+        pending.swap(failed);
+    }
+
+    for (Slot *slot : pending) {
+        const ExperimentTask &task = tasks[slot->taskIndex];
+        const std::string &unit_id = unitId(task);
+        if (!study.retry.quarantine) {
+            throw PermanentFaultError(
+                strfmt("unit %s %s: %d attempts exhausted (last: %s)",
+                       unit_id.c_str(), modeName(task.cfg.mode),
+                       max_attempts, experimentStatusName(slot->last)));
+        }
+        warn("study:   unit %s %s quarantined after %d attempts "
+             "(last: %s)",
+             unit_id.c_str(), modeName(task.cfg.mode), max_attempts,
+             experimentStatusName(slot->last));
+        ExperimentResult benched;
+        benched.unitId = unit_id;
+        benched.model = task.entry->spec.model;
+        benched.socName = task.entry->spec.socName;
+        benched.status = slot->last;
+        benched.attempts = static_cast<std::uint32_t>(max_attempts);
+        benched.quarantined = true;
+        results[slot->taskIndex] = std::move(benched);
     }
 }
 
 /**
  * Run every task, possibly across a thread pool. results[i] always
  * corresponds to tasks[i], so the output is independent of scheduling.
- * With a cache, each attempt is routed through it; a hit skips the
- * simulation entirely and (by determinism) yields the same bytes.
- * With a batch width above 1, same-(model, mode) tasks run as
- * lockstep cohorts — per-task bytes are unchanged (the batch-size
- * invariant); only throughput moves.
+ * Tasks run as cohorts of up to the resolved batch width (1 for the
+ * stepped solver by default), one supervised cohort per pool task;
+ * per-task bytes do not depend on the width (the batch-size
+ * invariant), only throughput moves. With a cache, each attempt is
+ * routed through it; a hit skips the simulation entirely and (by
+ * determinism) yields the same bytes.
  */
 std::vector<ExperimentResult>
 runExperimentTasks(const std::vector<ExperimentTask> &tasks,
                    const StudyConfig &cfg)
 {
     std::vector<ExperimentResult> results(tasks.size());
-    int batch = resolveBatchSize(cfg.batch, cfg.solver);
-    if (batch <= 1) {
-        parallelFor(tasks.size(), cfg.jobs, [&](std::size_t i) {
-            results[i] = superviseTask(tasks[i], i, cfg);
-        });
-    } else {
-        std::vector<std::vector<std::size_t>> cohorts =
-            planCohorts(tasks, batch);
-        parallelFor(cohorts.size(), cfg.jobs, [&](std::size_t c) {
-            superviseCohort(tasks, cohorts[c], cfg, results);
-        });
-    }
+    std::vector<std::vector<std::size_t>> cohorts = planCohorts(
+        tasks,
+        static_cast<std::size_t>(resolveBatchSize(cfg.batch, cfg.solver)));
+    parallelFor(cohorts.size(), cfg.jobs, [&](std::size_t c) {
+        superviseCohort(tasks, cohorts[c], cfg, results);
+    });
     // A finished study is a durability point: results a client is
     // about to see must survive a crash of the process.
     if (cfg.cache)
@@ -393,6 +318,20 @@ reduceInterleaved(const std::string &soc_name, const std::string &model,
 }
 
 } // namespace
+
+ExperimentResult
+ExperimentCache::getOrCompute(
+    const RegistryEntry &entry, std::size_t unit_index,
+    const ExperimentConfig &cfg,
+    const std::function<ExperimentResult()> &compute)
+{
+    ExperimentResult result;
+    if (lookup(entry, unit_index, cfg, result))
+        return result;
+    result = compute();
+    insert(entry, unit_index, cfg, result);
+    return result;
+}
 
 ExperimentStatus
 classifyExperiment(const ExperimentResult &result,

@@ -27,12 +27,13 @@ struct RegistryEntry;
 /**
  * Memoization point for individual (unit, mode) experiments.
  *
- * The scheduler calls getOrCompute() for every experiment task; an
- * implementation may return a previously computed result for an
- * identical (spec, unit, config) triple instead of invoking
- * @p compute. Because experiments are deterministic, a cached result
- * is bit-identical to a fresh run — implementations must preserve
- * that contract (key on *content*, never on names alone).
+ * The supervisor probes lookup() for every experiment attempt and
+ * hands each miss's computed result to insert(); an implementation may
+ * answer a lookup with a previously computed result for an identical
+ * (spec, unit, config) triple. Because experiments are deterministic,
+ * a cached result is bit-identical to a fresh run — implementations
+ * must preserve that contract (key on *content*, never on names
+ * alone).
  *
  * The canonical implementation is store/result_cache.hh; the
  * interface lives here so the protocol layer needs no service
@@ -44,17 +45,10 @@ class ExperimentCache
   public:
     virtual ~ExperimentCache() = default;
 
-    virtual ExperimentResult getOrCompute(
-        const RegistryEntry &entry, std::size_t unit_index,
-        const ExperimentConfig &cfg,
-        const std::function<ExperimentResult()> &compute) = 0;
-
     /**
-     * Batched-engine split of getOrCompute: probe for a cached result
-     * without computing. True fills `out` and counts as a hit; false
-     * counts as a miss, and the scheduler later hands the computed
-     * result to insert(). Implementations must keep (lookup-miss +
-     * insert) equivalent to one getOrCompute.
+     * Probe for a cached result without computing. True fills `out`
+     * and counts as a hit; false counts as a miss, and the caller
+     * later hands the computed result to insert().
      */
     virtual bool lookup(const RegistryEntry &entry,
                         std::size_t unit_index,
@@ -66,6 +60,16 @@ class ExperimentCache
                         std::size_t unit_index,
                         const ExperimentConfig &cfg,
                         const ExperimentResult &result) = 0;
+
+    /**
+     * lookup(), and on a miss @p compute then insert(). Nothing in the
+     * library calls it; it remains as a decorator seam for callers
+     * that time a whole probe-compute-store round.
+     */
+    virtual ExperimentResult getOrCompute(
+        const RegistryEntry &entry, std::size_t unit_index,
+        const ExperimentConfig &cfg,
+        const std::function<ExperimentResult()> &compute);
 
     /**
      * Called by the scheduler after a study's task fan-out completes.
@@ -182,8 +186,8 @@ struct StudyConfig
      * eigendecomposition (accubench/batch.hh). Per-die outputs are
      * bit-identical for every value — the batch-size invariant,
      * enforced alongside the jobs invariant by tests — so this is a
-     * pure throughput knob. 0 (default) lets the engine pick: ~16 for
-     * the fast solver, serial for the stepped reference.
+     * pure throughput knob. 0 (default) lets the engine pick: 16 for
+     * the fast solver, 1 for the stepped reference.
      */
     int batch = 0;
 

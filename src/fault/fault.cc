@@ -260,17 +260,6 @@ currentFaultPlan()
     return g_planOwner;
 }
 
-FaultScope::FaultScope(std::uint64_t scope_id)
-{
-    _frame.scopeId = scope_id;
-    fault_detail::pushFrame(&_frame);
-}
-
-FaultScope::~FaultScope()
-{
-    fault_detail::popFrame(&_frame);
-}
-
 std::uint64_t
 faultScopeId(std::uint64_t a, std::uint64_t b)
 {

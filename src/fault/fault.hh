@@ -11,19 +11,20 @@
  * bit-identically from its serialized plan — including under a
  * different `--jobs` count.
  *
- * Scoping is what makes that work in a parallel study. Experiment
- * workers wrap each (task, attempt) in a FaultScope whose id is
- * derived from the task's position in the flattened task list; every
- * faultCheck() inside the scope counts invocations *per scope*, so
- * "the 3rd sensor read of task 7, attempt 1" fires identically no
- * matter which worker runs it or when. Calls outside any scope
- * (the HTTP acceptor, the net.* / store.* syscall sites, store flushes
- * at study boundaries) fall back to global atomic counters; those
- * sites only affect transport and persistence, never study bytes, so
- * their timing nondeterminism is harmless — and because each decision
- * is a pure function of the per-site invocation count, the *set* of
- * counts at which a rule fires is identical for a given seed no
- * matter how threads interleave.
+ * Scoping is what makes that work in a parallel study. The study
+ * supervisor gives each (task, attempt) a FaultFrame whose id is
+ * derived from the task's position in the flattened task list, and
+ * activates it around every slice of that attempt's work; every
+ * faultCheck() inside counts invocations *per frame*, so "the 3rd
+ * sensor read of task 7, attempt 1" fires identically no matter which
+ * worker runs it, when, or which other dies share its cohort. Calls
+ * outside any frame (the HTTP acceptor, the net.* / store.* syscall
+ * sites, store flushes at study boundaries) fall back to global
+ * atomic counters; those sites only affect transport and persistence,
+ * never study bytes, so their timing nondeterminism is harmless — and
+ * because each decision is a pure function of the per-site invocation
+ * count, the *set* of counts at which a rule fires is identical for a
+ * given seed no matter how threads interleave.
  *
  * Zero overhead when idle: with no plan installed, faultCheck() is a
  * single relaxed atomic load and a predictable branch.
@@ -203,9 +204,10 @@ namespace fault_detail
 {
 
 /**
- * Per-scope counter frame, stack-allocated by FaultScope and linked
- * thread-locally. counts[] is the invocation number per site; fired[]
- * caps rules with a `times` budget.
+ * Per-scope counter frame, owned by a FaultFrame and linked
+ * thread-locally while a FaultFrameGuard activates it. counts[] is
+ * the invocation number per site; fired[] caps rules with a `times`
+ * budget.
  */
 struct ScopeFrame
 {
@@ -240,35 +242,15 @@ faultCheck(FaultSite site)
 }
 
 /**
- * RAII deterministic counting scope. All faultCheck() calls on this
- * thread between construction and destruction count against
- * @p scope_id instead of the global counters. Scopes nest; the
- * innermost wins.
- */
-class FaultScope
-{
-  public:
-    explicit FaultScope(std::uint64_t scope_id);
-    ~FaultScope();
-
-    FaultScope(const FaultScope &) = delete;
-    FaultScope &operator=(const FaultScope &) = delete;
-
-  private:
-    fault_detail::ScopeFrame _frame;
-};
-
-/**
- * A persistent fault-counting frame for interleaved executors.
+ * A deterministic fault-counting frame.
  *
- * FaultScope is strictly RAII: its counters die with the scope, which
- * fits one task running to completion on one thread. The batch engine
- * instead interleaves many dies' work on one thread, so each die's
- * counters must outlive any single section. A FaultFrame owns the
- * counters for one die; a FaultFrameGuard activates it around each
- * slice of that die's work. Counts accrue across activations exactly
- * as they would inside one long FaultScope, which is what keeps
- * per-die fault decisions identical at every batch size.
+ * While a FaultFrameGuard activates it, every faultCheck() on that
+ * thread counts against the frame's @p scope_id instead of the global
+ * counters. The batch engine interleaves many dies' work on one
+ * thread, so a FaultFrame owns the counters for one die's attempt and
+ * outlives any single activation: counts accrue across activations
+ * exactly as they would in one uninterrupted section, which is what
+ * keeps per-die fault decisions identical at every batch size.
  */
 class FaultFrame
 {
@@ -284,8 +266,9 @@ class FaultFrame
 };
 
 /**
- * RAII activation of a FaultFrame on the current thread. A null frame
- * is a no-op, so call sites need not branch on "is fault scoping on".
+ * RAII activation of a FaultFrame on the current thread. Activations
+ * nest; the innermost wins. A null frame is a no-op, so call sites
+ * need not branch on "is fault scoping on".
  */
 class FaultFrameGuard
 {

@@ -582,7 +582,7 @@ HttpServerLoop::sendOverload503(int fd)
 {
     // The socket is fresh (empty send buffer), so this cannot block;
     // best-effort regardless — the peer may already be gone.
-    HttpResponse resp = _error(503, "too many connections");
+    HttpResponse resp = _error(503, kConnectionShedMessage);
     resp.headers.emplace_back("Retry-After", "1");
     std::string bytes =
         serializeHttpResponseHead(resp, false, false) + resp.body;

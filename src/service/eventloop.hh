@@ -193,6 +193,13 @@ struct HttpLoopStats
     std::uint64_t parseErrors = 0;
 };
 
+/**
+ * The error text of the 503 the loop answers on a connection it sheds
+ * at accept time (descriptor exhaustion, or the connection cap),
+ * before reading any request from it.
+ */
+inline constexpr char kConnectionShedMessage[] = "too many connections";
+
 class HttpServerLoop
 {
   public:

@@ -2,13 +2,15 @@
  * @file
  * DurableCache: the in-memory LRU layered over the on-disk store.
  *
- * The ExperimentCache implementation behind `--cache-dir`: reads
- * check the LRU first, then the RecordLog-backed ExperimentStore;
- * misses simulate and write through to both layers. Because the store
- * and the LRU key on the same canonical (spec, unit, config) bytes,
- * a restarted process — pvar_served after a crash, or a re-run of a
- * killed pvar_study — rebuilds the index from disk and serves every
- * already-completed experiment without re-simulating it.
+ * The ExperimentCache implementation behind `--cache-dir`: lookups
+ * check the LRU first, then the RecordLog-backed ExperimentStore
+ * (promoting a disk hit into the LRU); the supervisor simulates each
+ * miss and insert() writes the result through to both layers.
+ * Because the store and the LRU key on the same canonical (spec,
+ * unit, config) bytes, a restarted process — pvar_served after a
+ * crash, or a re-run of a killed pvar_study — rebuilds the index from
+ * disk and serves every already-completed experiment without
+ * re-simulating it.
  *
  * Determinism is inherited, not re-proved: a stored result was
  * produced by the same deterministic simulation a fresh compute would
@@ -40,27 +42,15 @@ class DurableCache : public ExperimentCache
                           std::size_t lru_entries = 128,
                           int sync_every = 8);
 
-    ExperimentResult getOrCompute(
-        const RegistryEntry &entry, std::size_t unit_index,
-        const ExperimentConfig &cfg,
-        const std::function<ExperimentResult()> &compute) override;
-
-    /**
-     * @name Batched-engine probe/store split
-     * Probe LRU then disk; a disk hit is promoted into the LRU, and
-     * insert() writes through both layers — so a lookup-miss + insert
-     * pair leaves both layers (and their counters) exactly as one
-     * getOrCompute would.
-     * @{
-     */
+    /** Probe LRU then disk; a disk hit is promoted into the LRU. */
     bool lookup(const RegistryEntry &entry, std::size_t unit_index,
                 const ExperimentConfig &cfg,
                 ExperimentResult &out) override;
 
+    /** Write through both layers, sharing one key text. */
     void insert(const RegistryEntry &entry, std::size_t unit_index,
                 const ExperimentConfig &cfg,
                 const ExperimentResult &result) override;
-    /** @} */
 
     /** Study finished: fsync whatever the batch window still holds. */
     void flushPending() override;

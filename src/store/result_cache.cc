@@ -180,16 +180,6 @@ ResultCache::ResultCache(std::size_t max_entries)
 {
 }
 
-ExperimentResult
-ResultCache::getOrCompute(const RegistryEntry &entry,
-                          std::size_t unit_index,
-                          const ExperimentConfig &cfg,
-                          const std::function<ExperimentResult()> &compute)
-{
-    return getOrComputeText(experimentKeyText(entry, unit_index, cfg),
-                            compute);
-}
-
 bool
 ResultCache::lookup(const RegistryEntry &entry, std::size_t unit_index,
                     const ExperimentConfig &cfg, ExperimentResult &out)
@@ -203,23 +193,6 @@ ResultCache::insert(const RegistryEntry &entry, std::size_t unit_index,
                     const ExperimentResult &result)
 {
     insertText(experimentKeyText(entry, unit_index, cfg), result);
-}
-
-ExperimentResult
-ResultCache::getOrComputeText(
-    const std::string &key_text,
-    const std::function<ExperimentResult()> &compute)
-{
-    ExperimentResult result;
-    if (lookupText(key_text, result))
-        return result;
-
-    // Simulate outside the lock; concurrent misses on the same key
-    // both compute (identical results by determinism) instead of one
-    // worker blocking the rest.
-    result = compute();
-    insertText(key_text, result);
-    return result;
 }
 
 bool

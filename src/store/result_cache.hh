@@ -14,16 +14,16 @@
  *
  * Building the key text is the expensive part of a probe (every double
  * of the spec goes through jsonExactDouble), so each cache call builds
- * it once: the (entry, unit, cfg) entry points are one-line wrappers
- * over the key-text ones, and layered caches (DurableCache) build the
+ * it once: lookup() and insert() are one-line wrappers over the
+ * key-text entry points, and layered caches (DurableCache) build the
  * text once and hand it to both the LRU and the store.
  *
  * Because experiments are deterministic, a cache hit returns the same
  * bytes a fresh simulation would produce; the determinism tests pin
  * cold run ≡ warm run at any jobs count. Entries are LRU-bounded, the
  * cache is thread-safe (the scheduler calls in from every worker),
- * and the simulation itself runs outside the lock so concurrent
- * misses don't serialize.
+ * and the simulation runs between a lookup() miss and its insert(),
+ * outside the lock, so concurrent misses don't serialize.
  */
 
 #ifndef PVAR_STORE_RESULT_CACHE_HH
@@ -81,11 +81,11 @@ struct ResultCacheStats
 /**
  * Thread-safe LRU memoizer for experiment results.
  *
- * Plugs into StudyConfig::cache; the protocol scheduler routes every
- * experiment task through getOrCompute(). Concurrent misses on the
- * same key both simulate (the results are identical by determinism)
- * and the second insert is a no-op overwrite — callers never block on
- * another worker's simulation.
+ * Plugs into StudyConfig::cache; the protocol supervisor probes
+ * lookup() for every experiment attempt and insert()s each miss's
+ * result. Concurrent misses on the same key both simulate (the results
+ * are identical by determinism) and the second insert is a no-op
+ * overwrite — callers never block on another worker's simulation.
  */
 class ResultCache : public ExperimentCache
 {
@@ -93,18 +93,6 @@ class ResultCache : public ExperimentCache
     /** @param max_entries LRU bound (clamped to >= 1). */
     explicit ResultCache(std::size_t max_entries = 128);
 
-    ExperimentResult getOrCompute(
-        const RegistryEntry &entry, std::size_t unit_index,
-        const ExperimentConfig &cfg,
-        const std::function<ExperimentResult()> &compute) override;
-
-    /**
-     * @name Batched-engine probe/store split
-     * Same key machinery and counters as getOrCompute — one lookup
-     * miss followed by one insert leaves the cache in the exact state
-     * a single getOrCompute would have.
-     * @{
-     */
     bool lookup(const RegistryEntry &entry, std::size_t unit_index,
                 const ExperimentConfig &cfg,
                 ExperimentResult &out) override;
@@ -112,18 +100,13 @@ class ResultCache : public ExperimentCache
     void insert(const RegistryEntry &entry, std::size_t unit_index,
                 const ExperimentConfig &cfg,
                 const ExperimentResult &result) override;
-    /** @} */
 
     /**
      * @name Key-text entry points
-     * The same three operations on a key built by experimentKeyText(),
+     * lookup() and insert() on a key built by experimentKeyText(),
      * for callers that already hold it.
      * @{
      */
-    ExperimentResult getOrComputeText(
-        const std::string &key_text,
-        const std::function<ExperimentResult()> &compute);
-
     bool lookupText(const std::string &key_text, ExperimentResult &out);
 
     void insertText(const std::string &key_text,

@@ -356,8 +356,8 @@ TEST(Batch, SampleSizeStudyIsBitIdenticalAcrossBatch)
 TEST(Batch, ResultCacheLookupInsertMatchesGetOrCompute)
 {
     QuietScope quiet;
-    // Duplicated units inside one study: the batched lookup/insert
-    // split must dedupe exactly like getOrCompute does serially.
+    // Duplicated units inside one study: width-8 cohorts must dedupe
+    // through lookup/insert exactly like width-1 cohorts do.
     ResultCache serial_cache;
     StudyConfig serial_cfg = quickStudyConfig(1, 1, SolverKind::Fast);
     serial_cfg.cache = &serial_cache;

@@ -39,7 +39,8 @@ class PlanGuard
 std::vector<bool>
 firingPattern(std::uint64_t scope_id, FaultSite site, int n)
 {
-    FaultScope scope(scope_id);
+    FaultFrame frame(scope_id);
+    FaultFrameGuard guard(&frame);
     std::vector<bool> fired;
     fired.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i)
@@ -223,7 +224,8 @@ TEST(FaultCheck, StackedProbabilityRulesDrawIndependently)
     PlanGuard guard(std::move(plan));
 
     int shorts = 0, resets = 0;
-    FaultScope scope(17);
+    FaultFrame frame(17);
+    FaultFrameGuard active(&frame);
     for (int i = 0; i < 2000; ++i) {
         FaultHit hit = faultCheck(FaultSite::NetRead);
         if (!hit.fired)
@@ -334,16 +336,40 @@ TEST(FaultCheck, NestedScopesInnermostWins)
     plan.addRule(rule);
     PlanGuard guard(std::move(plan));
 
-    FaultScope outer(50);
+    FaultFrame outer(50);
+    FaultFrameGuard outer_guard(&outer);
     EXPECT_TRUE(faultCheck(FaultSite::SensorRead).fired);  // count 0
     EXPECT_FALSE(faultCheck(FaultSite::SensorRead).fired); // count 1
     {
-        FaultScope inner(51);
+        FaultFrame inner(51);
+        FaultFrameGuard inner_guard(&inner);
         // The inner scope counts from zero again.
         EXPECT_TRUE(faultCheck(FaultSite::SensorRead).fired);
     }
     // Back in the outer scope: its count continues at 2.
     EXPECT_FALSE(faultCheck(FaultSite::SensorRead).fired);
+}
+
+TEST(FaultCheck, FrameCountsAccrueAcrossActivations)
+{
+    // The batch engine activates a die's frame once per slice of its
+    // work; the decisions must be those of one uninterrupted run.
+    FaultPlan plan(9);
+    FaultRule rule;
+    rule.site = FaultSite::SensorRead;
+    rule.probability = 0.3;
+    plan.addRule(rule);
+    PlanGuard guard(std::move(plan));
+
+    std::vector<bool> whole = firingPattern(77, FaultSite::SensorRead, 40);
+    FaultFrame frame(77);
+    std::vector<bool> sliced;
+    for (int slice = 0; slice < 8; ++slice) {
+        FaultFrameGuard active(&frame);
+        for (int i = 0; i < 5; ++i)
+            sliced.push_back(faultCheck(FaultSite::SensorRead).fired);
+    }
+    EXPECT_EQ(sliced, whole);
 }
 
 TEST(FaultCheck, InstallResetsGlobalCounters)
@@ -376,7 +402,8 @@ TEST(FaultCheck, HitCarriesKindAndValue)
     plan.addRule(rule);
     PlanGuard guard(std::move(plan));
 
-    FaultScope scope(1);
+    FaultFrame frame(1);
+    FaultFrameGuard active(&frame);
     FaultHit hit = faultCheck(FaultSite::SensorRead);
     ASSERT_TRUE(hit.fired);
     EXPECT_EQ(hit.kind, FaultKind::Stuck);

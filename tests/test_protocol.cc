@@ -1,15 +1,21 @@
 /**
  * @file
- * Tests for the study protocol reduction logic.
+ * Tests for the study protocol: reduction, classification, and the
+ * supervisor's retry, quarantine and escalation rules.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <utility>
 
 #include "accubench/protocol.hh"
 #include "fault/fault.hh"
+#include "report/json.hh"
 #include "sim/logging.hh"
+#include "sim/strfmt.hh"
 
 namespace pvar
 {
@@ -99,11 +105,12 @@ TEST(Protocol, StudyConfigDefaultsMatchPaper)
 
 /** A shortened study config so the determinism check stays fast. */
 StudyConfig
-quickStudyConfig(int jobs)
+quickStudyConfig(int jobs, int batch = 0)
 {
     StudyConfig cfg;
     cfg.iterations = 1;
     cfg.jobs = jobs;
+    cfg.batch = batch;
     cfg.accubench.warmupDuration = Time::sec(20);
     cfg.accubench.workloadDuration = Time::sec(30);
     cfg.accubench.cooldownTimeout = Time::minutes(5);
@@ -295,87 +302,229 @@ TEST(Supervised, FaultedStudyIsBitIdenticalAcrossJobs)
     EXPECT_GT(total_attempts, 2 * serial.units.size());
 }
 
+// The supervisor runs every attempt as a cohort round. At batch 8 the
+// three SD-805 units of one mode share a cohort, so a retry runs in a
+// round alongside its cohort's other members (or alone after them).
+constexpr int kBatches[] = {1, 8};
+
 TEST(Supervised, ExhaustedBudgetQuarantinesTheUnit)
 {
-    LogLevel old = setLogLevel(LogLevel::Quiet);
-    PlanGuard guard(
-        experimentFaultPlan(1, FaultKind::Transient, 1.0));
-    StudyConfig cfg = quickStudyConfig(1);
-    const RegistryEntry &entry = DeviceRegistry::builtin().at("SD-805");
-    SocStudy s = runUnitStudy(entry, 0, cfg);
-    setLogLevel(old);
+    for (int batch : kBatches) {
+        SCOPED_TRACE(strfmt("batch %d", batch));
+        LogLevel old = setLogLevel(LogLevel::Quiet);
+        PlanGuard guard(
+            experimentFaultPlan(1, FaultKind::Transient, 1.0));
+        StudyConfig cfg = quickStudyConfig(1, batch);
+        SocStudy s = runSocStudy("SD-805", cfg);
+        setLogLevel(old);
 
-    ASSERT_EQ(s.units.size(), 1u);
-    EXPECT_TRUE(s.units[0].quarantined);
-    EXPECT_EQ(s.quarantinedUnits, 1u);
-    EXPECT_EQ(s.units[0].unconstrainedStatus,
-              ExperimentStatus::TransientFault);
-    EXPECT_EQ(s.units[0].unconstrainedAttempts,
-              static_cast<std::uint32_t>(cfg.retry.maxAttempts));
-    // Aggregates over zero healthy units are zero, never NaN.
-    EXPECT_EQ(s.perfVariationPercent, 0.0);
-    EXPECT_EQ(s.efficiencyIterPerWh, 0.0);
+        ASSERT_EQ(s.units.size(), 3u);
+        EXPECT_EQ(s.quarantinedUnits, 3u);
+        for (const UnitOutcome &u : s.units) {
+            EXPECT_TRUE(u.quarantined);
+            EXPECT_EQ(u.unconstrainedStatus,
+                      ExperimentStatus::TransientFault);
+            EXPECT_EQ(u.unconstrainedAttempts,
+                      static_cast<std::uint32_t>(cfg.retry.maxAttempts));
+            EXPECT_EQ(u.fixedAttempts,
+                      static_cast<std::uint32_t>(cfg.retry.maxAttempts));
+        }
+        // Aggregates over zero healthy units are zero, never NaN.
+        EXPECT_EQ(s.perfVariationPercent, 0.0);
+        EXPECT_EQ(s.efficiencyIterPerWh, 0.0);
+    }
 }
 
 TEST(Supervised, PermanentFaultAlwaysPropagates)
 {
-    LogLevel old = setLogLevel(LogLevel::Quiet);
-    PlanGuard guard(
-        experimentFaultPlan(1, FaultKind::Permanent, 1.0));
-    EXPECT_THROW(runSocStudy("SD-805", quickStudyConfig(1)),
-                 PermanentFaultError);
-    setLogLevel(old);
+    for (int batch : kBatches) {
+        SCOPED_TRACE(strfmt("batch %d", batch));
+        LogLevel old = setLogLevel(LogLevel::Quiet);
+        PlanGuard guard(
+            experimentFaultPlan(1, FaultKind::Permanent, 1.0));
+        EXPECT_THROW(runSocStudy("SD-805", quickStudyConfig(1, batch)),
+                     PermanentFaultError);
+        setLogLevel(old);
+    }
 }
 
 TEST(Supervised, NoQuarantineEscalatesExhaustion)
 {
-    LogLevel old = setLogLevel(LogLevel::Quiet);
-    PlanGuard guard(
-        experimentFaultPlan(1, FaultKind::Transient, 1.0));
-    StudyConfig cfg = quickStudyConfig(1);
-    cfg.retry.quarantine = false;
-    const RegistryEntry &entry = DeviceRegistry::builtin().at("SD-805");
-    EXPECT_THROW(runUnitStudy(entry, 0, cfg), PermanentFaultError);
-    setLogLevel(old);
+    for (int batch : kBatches) {
+        SCOPED_TRACE(strfmt("batch %d", batch));
+        LogLevel old = setLogLevel(LogLevel::Quiet);
+        PlanGuard guard(
+            experimentFaultPlan(1, FaultKind::Transient, 1.0));
+        StudyConfig cfg = quickStudyConfig(1, batch);
+        cfg.retry.quarantine = false;
+        EXPECT_THROW(runSocStudy("SD-805", cfg), PermanentFaultError);
+        setLogLevel(old);
+    }
+}
+
+/**
+ * The experiment.run decision of one (task, attempt) under @p plan,
+ * made the way the supervisor makes it: first check in a fresh frame
+ * keyed by faultScopeId(task, attempt).
+ */
+FaultHit
+runDecision(const FaultPlan &plan, std::uint64_t task,
+            std::uint64_t attempt)
+{
+    PlanGuard guard{FaultPlan(plan)};
+    FaultFrame frame(faultScopeId(task, attempt));
+    FaultFrameGuard active(&frame);
+    return faultCheck(FaultSite::ExperimentRun);
 }
 
 TEST(Supervised, RetriedExperimentRecoversWithFreshAttempt)
 {
-    // Find a seed whose decision pattern is: task 0 faults on its
-    // first attempt only, task 1 never faults. The scan uses the same
-    // (scope, count) hash the supervisor does, so the chosen seed is
-    // stable by construction.
-    auto decides = [](std::uint64_t seed, std::uint64_t task,
-                      std::uint64_t attempt) {
-        PlanGuard guard(
-            experimentFaultPlan(seed, FaultKind::Transient, 0.5));
-        FaultScope scope(faultScopeId(task, attempt));
-        return faultCheck(FaultSite::ExperimentRun).fired;
-    };
+    // Find a seed whose decision pattern is: task 0 (unit 0,
+    // unconstrained) faults on its first attempt only, and none of
+    // the study's other five tasks faults at all. The scan uses the
+    // same (scope, count) hash the supervisor does, so the chosen
+    // seed is stable by construction.
+    constexpr std::uint64_t kTasks = 6; // 3 units x 2 modes
     std::uint64_t seed = 0;
     bool found = false;
-    for (; seed < 256 && !found; ++seed) {
-        found = decides(seed, 0, 0) && !decides(seed, 0, 1) &&
-                !decides(seed, 1, 0);
+    for (; seed < 4096 && !found; ++seed) {
+        FaultPlan plan =
+            experimentFaultPlan(seed, FaultKind::Transient, 0.5);
+        found = runDecision(plan, 0, 0).fired &&
+                !runDecision(plan, 0, 1).fired;
+        for (std::uint64_t t = 1; t < kTasks && found; ++t)
+            found = !runDecision(plan, t, 0).fired;
+    }
+    ASSERT_TRUE(found);
+    --seed;
+
+    SocStudy reference;
+    for (int batch : kBatches) {
+        SCOPED_TRACE(strfmt("batch %d", batch));
+        LogLevel old = setLogLevel(LogLevel::Quiet);
+        PlanGuard guard(
+            experimentFaultPlan(seed, FaultKind::Transient, 0.5));
+        SocStudy s = runSocStudy("SD-805", quickStudyConfig(1, batch));
+        setLogLevel(old);
+
+        ASSERT_EQ(s.units.size(), 3u);
+        EXPECT_EQ(s.quarantinedUnits, 0u);
+        EXPECT_EQ(s.units[0].unconstrainedStatus, ExperimentStatus::Ok);
+        EXPECT_EQ(s.units[0].unconstrainedAttempts, 2u)
+            << "first attempt faulted, the retry recovered";
+        EXPECT_GT(s.units[0].meanScore, 0.0);
+        for (std::size_t u = 0; u < s.units.size(); ++u) {
+            EXPECT_EQ(s.units[u].fixedStatus, ExperimentStatus::Ok);
+            EXPECT_EQ(s.units[u].fixedAttempts, 1u);
+            if (u > 0) {
+                EXPECT_EQ(s.units[u].unconstrainedAttempts, 1u);
+            }
+        }
+        if (batch == kBatches[0])
+            reference = s;
+        else
+            expectStudiesBitIdentical(reference, s);
+    }
+}
+
+TEST(Supervised, PermanentFaultOnRetryInWideCohortPropagates)
+{
+    // Find a seed where no task's first attempt draws the permanent
+    // rule, but task 0 (unit 0, unconstrained) draws the transient one
+    // and then the permanent one on its retry. At batch 8 that retry
+    // runs in round 1 of the three-member unconstrained cohort.
+    auto plan_for = [](std::uint64_t seed) {
+        FaultPlan plan(seed);
+        FaultRule transient;
+        transient.site = FaultSite::ExperimentRun;
+        transient.kind = FaultKind::Transient;
+        transient.probability = 0.5;
+        plan.addRule(transient);
+        FaultRule permanent;
+        permanent.site = FaultSite::ExperimentRun;
+        permanent.kind = FaultKind::Permanent;
+        permanent.probability = 0.5;
+        plan.addRule(permanent);
+        return plan;
+    };
+    constexpr std::uint64_t kTasks = 6; // 3 units x 2 modes
+    std::uint64_t seed = 0;
+    bool found = false;
+    for (; seed < 4096 && !found; ++seed) {
+        FaultPlan plan = plan_for(seed);
+        FaultHit first = runDecision(plan, 0, 0);
+        FaultHit retry = runDecision(plan, 0, 1);
+        found = first.fired && first.kind == FaultKind::Transient &&
+                retry.fired && retry.kind == FaultKind::Permanent;
+        for (std::uint64_t t = 1; t < kTasks && found; ++t)
+            found = runDecision(plan, t, 0).kind != FaultKind::Permanent;
     }
     ASSERT_TRUE(found);
     --seed;
 
     LogLevel old = setLogLevel(LogLevel::Quiet);
-    PlanGuard guard(
-        experimentFaultPlan(seed, FaultKind::Transient, 0.5));
-    const RegistryEntry &entry = DeviceRegistry::builtin().at("SD-805");
-    SocStudy s = runUnitStudy(entry, 0, quickStudyConfig(1));
+    PlanGuard guard(plan_for(seed));
+    EXPECT_THROW(runSocStudy("SD-805", quickStudyConfig(1, 8)),
+                 PermanentFaultError);
     setLogLevel(old);
+}
 
-    ASSERT_EQ(s.units.size(), 1u);
-    EXPECT_FALSE(s.units[0].quarantined);
-    EXPECT_EQ(s.units[0].unconstrainedStatus, ExperimentStatus::Ok);
-    EXPECT_EQ(s.units[0].unconstrainedAttempts, 2u)
-        << "first attempt faulted, the retry recovered";
-    EXPECT_EQ(s.units[0].fixedStatus, ExperimentStatus::Ok);
-    EXPECT_EQ(s.units[0].fixedAttempts, 1u);
-    EXPECT_GT(s.units[0].meanScore, 0.0);
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    std::ostringstream out;
+    out << f.rdbuf();
+    return out.str();
+}
+
+/**
+ * data/faulted_study_{stepped,fast}_iter1.json are the byte-exact
+ * output of `pvar_study --iterations 1 --jobs 1 --json --fault-plan P
+ * --solver S`, captured on the tree that still had a separate serial
+ * supervisor, under scripts/check.sh's pinned chaos plan P. They pin
+ * the retry semantics: which attempts fault, how many each experiment
+ * takes, and which units end up quarantined. Every (jobs, batch) must
+ * reproduce them.
+ */
+TEST(Supervised, FaultedStudyMatchesGolden)
+{
+    FaultPlan plan(20250811);
+    FaultRule run;
+    run.site = FaultSite::ExperimentRun;
+    run.kind = FaultKind::Transient;
+    run.probability = 0.35;
+    plan.addRule(run);
+    FaultRule regulate;
+    regulate.site = FaultSite::ThermaboxRegulate;
+    regulate.kind = FaultKind::Transient;
+    regulate.probability = 0.0005;
+    plan.addRule(regulate);
+
+    const std::pair<SolverKind, const char *> solvers[] = {
+        {SolverKind::Stepped, "stepped"}, {SolverKind::Fast, "fast"}};
+    const std::pair<int, int> widths[] = {{1, 1}, {4, 1}, {4, 8}, {2, 16}};
+    for (const auto &[solver, name] : solvers) {
+        std::string golden = readFile(
+            strfmt("%s/faulted_study_%s_iter1.json", PVAR_TEST_DATA_DIR,
+                   name));
+        ASSERT_FALSE(golden.empty()) << name;
+        for (const auto &[jobs, batch] : widths) {
+            SCOPED_TRACE(
+                strfmt("%s jobs %d batch %d", name, jobs, batch));
+            StudyConfig cfg;
+            cfg.iterations = 1;
+            cfg.jobs = jobs;
+            cfg.batch = batch;
+            cfg.solver = solver;
+            LogLevel old = setLogLevel(LogLevel::Quiet);
+            PlanGuard guard{FaultPlan(plan)};
+            std::string out = toJson(runFullStudy(cfg));
+            setLogLevel(old);
+            // The tool appends one newline after the document.
+            EXPECT_EQ(out + "\n", golden);
+        }
+    }
 }
 
 } // namespace
