@@ -420,8 +420,14 @@ StudyService::handleHealthz()
 HttpResponse
 StudyService::handleDevices()
 {
+    // The builtin registry is immutable: serialize it on the first
+    // request (not at construction, which would slow every startup).
+    std::call_once(_devicesOnce, [this] {
+        _devicesBody =
+            fleetToJson(DeviceRegistry::builtin().entries()) + "\n";
+    });
     HttpResponse resp;
-    resp.body = fleetToJson(DeviceRegistry::builtin().entries()) + "\n";
+    resp.body = _devicesBody;
     resp.headers.emplace_back("Cache-Control", "no-store");
     return resp;
 }

@@ -28,8 +28,10 @@
  * for each parsed request; cheap endpoints answer inline on the loop
  * thread, while /study and /crowd go through a *bounded* queue to a
  * small pool of study workers (each of which fans its experiments out
- * onto the PR 1 parallel scheduler) and come back to the loop over
- * its wakeup pipe. A full queue answers 429 with a Retry-After header
+ * onto the process-wide parallelFor pool, sim/parallel.hh, with the
+ * worker itself as one lane) and come back to the loop over its
+ * wakeup pipe. The GET /devices body is serialized once, by its first
+ * request. A full queue answers 429 with a Retry-After header
  * derived from the backlog — backpressure instead of unbounded
  * memory. Admission is additionally fair per client: when several
  * client addresses compete, no one address may hold more than its
@@ -215,6 +217,10 @@ class StudyService
     std::atomic<std::uint64_t> _rejected{0};
     std::atomic<std::uint64_t> _badRequests{0};
     std::atomic<std::uint64_t> _inFlight{0};
+
+    /** The GET /devices body, built by the first request. */
+    std::once_flag _devicesOnce;
+    std::string _devicesBody;
 
     /** Loop-thread callback: route, admit, or reject one request. */
     bool onRequest(const HttpRequest &req, const std::string &client,

@@ -1,5 +1,9 @@
 #include "store/result_cache.hh"
 
+#include <functional>
+#include <vector>
+
+#include "device/registry.hh"
 #include "report/spec_json.hh"
 #include "sim/logging.hh"
 #include "sim/strfmt.hh"
@@ -122,6 +126,30 @@ writeUnit(JsonWriter &w, const UnitCorner &u)
     w.endObject();
 }
 
+/**
+ * The spec part of the key text of a DeviceRegistry::builtin() entry,
+ * serialized once per process (builtin entries are immutable), or
+ * null for any other entry, which serializes its own spec.
+ */
+const std::string *
+builtinSpecText(const RegistryEntry &entry)
+{
+    const std::vector<RegistryEntry> &builtin =
+        DeviceRegistry::builtin().entries();
+    std::less<const RegistryEntry *> before;
+    if (before(&entry, builtin.data()) ||
+        !before(&entry, builtin.data() + builtin.size()))
+        return nullptr;
+    static const std::vector<std::string> texts = [&builtin] {
+        std::vector<std::string> out;
+        out.reserve(builtin.size());
+        for (const RegistryEntry &e : builtin)
+            out.push_back(toJson(e.spec));
+        return out;
+    }();
+    return &texts[static_cast<std::size_t>(&entry - builtin.data())];
+}
+
 } // namespace
 
 std::string
@@ -132,7 +160,10 @@ experimentKeyText(const RegistryEntry &entry, std::size_t unit_index,
     w.beginObject();
     // The spec serializer is the one fleet files round-trip through,
     // so it is exhaustive and exact by construction.
-    w.key("spec").rawValue(toJson(entry.spec));
+    if (const std::string *memo = builtinSpecText(entry))
+        w.key("spec").rawValue(*memo);
+    else
+        w.key("spec").rawValue(toJson(entry.spec));
     w.key("unit");
     writeUnit(w, entry.units.at(unit_index));
     w.key("experiment");

@@ -16,7 +16,10 @@
  * of the spec goes through jsonExactDouble), so each cache call builds
  * it once: lookup() and insert() are one-line wrappers over the
  * key-text entry points, and layered caches (DurableCache) build the
- * text once and hand it to both the LRU and the store.
+ * text once and hand it to both the LRU and the store. The spec part
+ * of a DeviceRegistry::builtin() entry, which is immutable, is
+ * serialized once per process; any other entry (a fleet document's)
+ * serializes its own spec, to the same bytes for the same spec.
  *
  * Because experiments are deterministic, a cache hit returns the same
  * bytes a fresh simulation would produce; the determinism tests pin

@@ -120,6 +120,49 @@ TEST(ResultCacheKey, DistinguishesEveryInput)
     EXPECT_EQ(contentDigest(base).size(), 32u);
 }
 
+TEST(ResultCacheKey, BuiltinEntriesMatchAnUnmemoizedCopy)
+{
+    // Builtin entries serialize their spec once per process; a copy
+    // of the entry is not builtin and serializes its own. Both must
+    // yield the same key bytes for every experiment a study can run.
+    for (const RegistryEntry &entry : DeviceRegistry::builtin().entries()) {
+        const RegistryEntry copy = entry;
+        for (std::size_t u = 0; u < entry.units.size(); ++u) {
+            for (WorkloadMode mode : {WorkloadMode::Unconstrained,
+                                      WorkloadMode::FixedFrequency}) {
+                for (SolverKind solver :
+                     {SolverKind::Stepped, SolverKind::Fast}) {
+                    ExperimentConfig cfg;
+                    cfg.mode = mode;
+                    cfg.solver = solver;
+                    EXPECT_EQ(experimentKeyText(entry, u, cfg),
+                              experimentKeyText(copy, u, cfg))
+                        << entry.spec.socName << " unit " << u;
+                    EXPECT_EQ(livePointKeyText(entry, u, cfg),
+                              livePointKeyText(copy, u, cfg));
+                }
+            }
+        }
+    }
+}
+
+TEST(ResultCacheKey, FleetRoundTripOfABuiltinEntryKeepsTheKey)
+{
+    // A fleet document naming a builtin model must hit what a
+    // {"device": ...} request cached, and vice versa.
+    const RegistryEntry &entry = DeviceRegistry::builtin().at("SD-805");
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(fleetToJson({entry}), doc, error)) << error;
+    std::vector<RegistryEntry> fleet = fleetFromJson(doc);
+    ASSERT_EQ(fleet.size(), 1u);
+    ASSERT_EQ(fleet[0].units.size(), entry.units.size());
+    ExperimentConfig cfg;
+    for (std::size_t u = 0; u < entry.units.size(); ++u)
+        EXPECT_EQ(experimentKeyText(fleet[0], u, cfg),
+                  experimentKeyText(entry, u, cfg));
+}
+
 TEST(ResultCacheTest, HitsReturnTheStoredResult)
 {
     const RegistryEntry &entry = DeviceRegistry::builtin().at("SD-805");
@@ -253,6 +296,24 @@ TEST(StudyServiceHandle, DevicesListsTheBuiltinRegistry)
     EXPECT_EQ(resp.status, 200);
     EXPECT_EQ(resp.body,
               fleetToJson(DeviceRegistry::builtin().entries()) + "\n");
+}
+
+TEST(StudyServiceHandle, DevicesBodyIsTheSameOnEveryRequest)
+{
+    // The body is built once, by the first request; a repeat must
+    // answer the same bytes and stay uncacheable.
+    QuietLog quiet;
+    StudyService svc(testServiceConfig());
+    const std::string expected =
+        fleetToJson(DeviceRegistry::builtin().entries()) + "\n";
+    for (int i = 0; i < 2; ++i) {
+        HttpResponse resp = svc.handle(makeRequest("GET", "/devices"));
+        EXPECT_EQ(resp.status, 200);
+        EXPECT_EQ(resp.body, expected) << "request " << i;
+        ASSERT_EQ(resp.headers.size(), 1u);
+        EXPECT_EQ(resp.headers[0].first, "Cache-Control");
+        EXPECT_EQ(resp.headers[0].second, "no-store");
+    }
 }
 
 TEST(StudyServiceHandle, MalformedStudyBodiesAre400s)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the pi-digit kernel and the workload engine.
+ * Tests for the workload engine.
  */
 
 #include <gtest/gtest.h>
@@ -9,79 +9,11 @@
 #include "silicon/variation_model.hh"
 #include "soc/soc.hh"
 #include "workload/engine.hh"
-#include "workload/pi_spigot.hh"
 
 namespace pvar
 {
 namespace
 {
-
-// 100 digits of pi, for ground truth.
-const char *pi100 =
-    "3141592653589793238462643383279502884197169399375105820974944592"
-    "307816406286208998628034825342117067";
-
-TEST(PiSpigot, FirstDigits)
-{
-    EXPECT_EQ(spigotPiDigits(1), "3");
-    EXPECT_EQ(spigotPiDigits(10), "3141592653");
-    EXPECT_EQ(spigotPiDigits(100), std::string(pi100));
-}
-
-TEST(PiSpigot, PrefixConsistency)
-{
-    // Longer computations agree with shorter ones on their prefix.
-    std::string d500 = spigotPiDigits(500);
-    std::string d200 = spigotPiDigits(200);
-    EXPECT_EQ(d500.substr(0, 200), d200);
-}
-
-TEST(PiSpigot, KnownDeepDigits)
-{
-    // Digits 991..1000 of pi (1-indexed, counting the leading 3),
-    // cross-checked against a Chudnovsky computation.
-    std::string d1000 = spigotPiDigits(1000);
-    ASSERT_EQ(d1000.size(), 1000u);
-    EXPECT_EQ(d1000.substr(990, 10), "9216420198");
-}
-
-TEST(PiSpigot, PaperWorkloadTailDigits)
-{
-    // The last ten digits of the paper's 4,285-digit unit of work,
-    // cross-checked against a Chudnovsky computation.
-    std::string d = spigotPiDigits(paperPiDigits);
-    ASSERT_EQ(d.size(), 4285u);
-    EXPECT_EQ(d.substr(4275, 10), "1454664645");
-}
-
-TEST(PiSpigot, ExactLengthRequested)
-{
-    for (int n : {1, 2, 9, 10, 33, 101, 1000, paperPiDigits})
-        EXPECT_EQ(spigotPiDigits(n).size(), static_cast<size_t>(n));
-}
-
-TEST(PiSpigot, PaperIterationChecksumStable)
-{
-    std::uint64_t a = piIterationChecksum();
-    std::uint64_t b = piIterationChecksum();
-    EXPECT_EQ(a, b);
-    EXPECT_NE(a, 0u);
-}
-
-class PiSpigotLengths : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(PiSpigotLengths, MatchesReferencePrefix)
-{
-    int n = GetParam();
-    std::string digits = spigotPiDigits(n);
-    EXPECT_EQ(digits, std::string(pi100).substr(0, n));
-}
-
-INSTANTIATE_TEST_SUITE_P(Lengths, PiSpigotLengths,
-                         ::testing::Values(1, 2, 5, 13, 32, 50, 64, 99,
-                                           100));
 
 SocParams
 simpleSoc()
