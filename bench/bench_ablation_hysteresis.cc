@@ -65,7 +65,7 @@ main()
         cfg.iterations = 2;
         ExperimentResult r = runExperiment(*device, cfg);
 
-        const auto &freq = r.trace.channel("freq_cpu");
+        const auto &freq = r.trace->channel("freq_cpu");
         int changes = 0;
         OnlineSummary mean_freq;
         Time capped = Time::zero(), running = Time::zero();

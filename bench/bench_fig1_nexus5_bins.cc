@@ -62,7 +62,7 @@ main()
         for (const auto &it : r.iterations)
             peak = std::max(peak, it.peakWorkloadTemp.value());
         bool shutdown =
-            r.trace.channel("online_cores").min() < 3.5;
+            r.trace->channel("online_cores").min() < 3.5;
 
         sec_per_iter.push_back(spi);
         joule_per_iter.push_back(jpi);

@@ -63,7 +63,7 @@ collectDistributions(Device &device, const std::string &freq_channel,
     UnitDistributions out;
     out.unitId = device.unitId();
     out.meanScore = r.meanScore();
-    out.throttling = analyzeThrottling(r.trace, ta);
+    out.throttling = analyzeThrottling(*r.trace, ta);
     return out;
 }
 

@@ -66,7 +66,7 @@ main()
         exp.batterySoc = p.soc;
         ExperimentResult r = runExperiment(device, exp);
 
-        double min_rail = r.trace.channel("supply_v").min();
+        double min_rail = r.trace->channel("supply_v").min();
         if (baseline == 0.0)
             baseline = r.meanScore();
 

@@ -67,8 +67,8 @@ main()
         // ambient, no thermometer needed. Fit the second iteration's
         // cooldown window.
         AmbientEstimate est;
-        if (auto w = phaseWindow(r.trace, AccubenchPhase::Cooldown, 1)) {
-            est = estimateAmbientFromTrace(r.trace.channel("die_temp"),
+        if (auto w = phaseWindow(*r.trace, AccubenchPhase::Cooldown, 1)) {
+            est = estimateAmbientFromTrace(r.trace->channel("die_temp"),
                                            w->begin, w->end);
         }
 

@@ -344,20 +344,22 @@ chaos_soak() {
 chaos_soak ./build/pvar_chaos 3 2
 
 # ThreadSanitizer pass over the parallel runner: the pool unit tests,
-# the protocol determinism tests, the spec/JSON layer feeding the
-# parallel scheduler, the service (acceptor + workers + cache under
-# concurrent requests), parallel crowd cohorts sharing one live-point
-# cache, and real multi-worker study runs (builtin SoC and
-# JSON-defined fleet).
+# the protocol determinism tests (including concurrent warm studies
+# reading one cache's shared traces), the cohort engine, the spec/JSON
+# layer feeding the parallel scheduler, the service (acceptor +
+# workers + cache under concurrent requests), parallel crowd cohorts
+# sharing one live-point cache, and real multi-worker study runs
+# (builtin SoC and JSON-defined fleet).
 cmake -B build-tsan -G Ninja -DPVAR_SANITIZE=thread
 cmake --build build-tsan \
-    --target test_parallel test_protocol test_json test_spec \
+    --target test_parallel test_protocol test_batch test_json test_spec \
         test_service test_eventloop test_store test_fault test_sampling \
         pvar_study pvar_served pvar_loadgen pvar_storectl pvar_chaos
 ./build-tsan/tests/test_parallel
 ./build-tsan/tests/test_eventloop
 ./build-tsan/tests/test_fault
 ./build-tsan/tests/test_protocol
+./build-tsan/tests/test_batch
 ./build-tsan/tests/test_json
 ./build-tsan/tests/test_spec
 ./build-tsan/tests/test_service
@@ -385,18 +387,23 @@ service_load ./build-tsan/pvar_served ./build-tsan/pvar_loadgen \
     ./build-tsan/pvar_study 0
 chaos_soak ./build-tsan/pvar_chaos 2 2
 
-# AddressSanitizer pass over the I/O-heavy layers: the event loop's
-# buffer handling under short reads/writes, the record log's recovery
-# paths, and the whole service while a chaos soak injects syscall
-# faults into every transport and persistence edge.
+# AddressSanitizer pass over the I/O-heavy layers and the lifetimes of
+# shared traces: the event loop's buffer handling under short
+# reads/writes, the record log's recovery paths, cache hits and
+# evictions while results hold their traces, the cohort engine
+# publishing each member's trace, and the whole service while a chaos
+# soak injects syscall faults into every transport and persistence
+# edge.
 cmake -B build-asan -G Ninja -DPVAR_SANITIZE=address
 cmake --build build-asan \
     --target test_eventloop test_store test_fault test_service \
-        pvar_chaos
+        test_protocol test_batch pvar_chaos
 ./build-asan/tests/test_eventloop
 ./build-asan/tests/test_store
 ./build-asan/tests/test_fault
 ./build-asan/tests/test_service
+./build-asan/tests/test_protocol
+./build-asan/tests/test_batch
 chaos_soak ./build-asan/pvar_chaos 2 2
 
 # UndefinedBehaviorSanitizer pass over the numeric core: die and

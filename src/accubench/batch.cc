@@ -58,6 +58,13 @@ struct Member
 
     ExperimentResult result;
 
+    /**
+     * The trace being recorded, on the heap from the start so the
+     * device's cached channel pointers stay valid until the run ends;
+     * published into result.trace, frozen, when the member finishes.
+     */
+    std::shared_ptr<Trace> trace = std::make_shared<Trace>();
+
     Phase phase = Phase::StabilizeWait;
     bool needAdvance = false;
     Time limit; // deadline of the run loop currently advancing
@@ -125,7 +132,7 @@ struct Member
         dev->setSuspendAllowed(false);
         if (cfg->soakFirst)
             dev->soakTo(box.airTemp());
-        dev->attachTrace(&result.trace);
+        dev->attachTrace(trace.get());
 
         // Confirm the chamber is in band (the app's first step).
         stabDeadline = now + Time::minutes(30);
@@ -247,7 +254,7 @@ encodeLivePoint(const Member &m)
     writeMeta(m, meta);
     m.box.saveState(box);
     m.dev->saveState(device);
-    m.result.trace.saveState(trace);
+    m.trace->saveState(trace);
 
     ByteWriter body;
     body.u32(4);
@@ -306,7 +313,7 @@ decodeLivePoint(Member &m, const std::string &value)
             ok = m.dev->loadState(pr);
             break;
           case kSectionTrace:
-            ok = m.result.trace.loadState(pr);
+            ok = m.trace->loadState(pr);
             break;
         }
         if (!ok || !pr.done())
@@ -332,11 +339,11 @@ Member::restoreLivePointIfAny()
 
     // Snapshot the cold state (and channel set) so a bad value rolls
     // back instead of leaving a half-applied restore.
-    std::vector<std::string> cold_channels = result.trace.channelNames();
+    std::vector<std::string> cold_channels = trace->channelNames();
     ByteWriter snap;
     box.saveState(snap);
     dev->saveState(snap);
-    result.trace.saveState(snap);
+    trace->saveState(snap);
     std::string rollback = snap.take();
 
     if (decodeLivePoint(*this, value)) {
@@ -353,14 +360,14 @@ Member::restoreLivePointIfAny()
     // Drop channels the failed load invented (the snapshot only
     // rewrites channels it knows), then reload component state and
     // reset the protocol scratch to its cold-constructor values.
-    for (const std::string &name : result.trace.channelNames()) {
+    for (const std::string &name : trace->channelNames()) {
         if (std::find(cold_channels.begin(), cold_channels.end(),
                       name) == cold_channels.end())
-            result.trace.dropChannel(name);
+            trace->dropChannel(name);
     }
     ByteReader r(rollback);
     if (!box.loadState(r) || !dev->loadState(r) ||
-        !result.trace.loadState(r) || !r.done())
+        !trace->loadState(r) || !r.done())
         fatal("live point: rollback of freshly saved state failed");
     now = Time::zero();
     limit = stabDeadline;
@@ -396,7 +403,7 @@ maybeCaptureLivePoint(Member &m)
 void
 markPhase(Member &m, AccubenchPhase phase)
 {
-    m.result.trace.record("phase", m.now, static_cast<double>(phase));
+    m.trace->record("phase", m.now, static_cast<double>(phase));
 }
 
 void
@@ -454,6 +461,7 @@ beginIterationOrFinish(Member &m)
     m.dev->attachExternalSupply(nullptr);
     m.dev->setPerformanceMode();
     m.dev->setThermalSolver(SolverKind::Stepped);
+    m.result.trace = std::move(m.trace); // frozen from here on
     m.phase = Phase::Done;
 }
 

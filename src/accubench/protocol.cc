@@ -177,6 +177,12 @@ superviseCohort(const std::vector<ExperimentTask> &tasks,
                 Slot &slot = *running[j];
                 slot.result = std::move(engine_results[j]);
                 if (cache) {
+                    // A cache keeps what it is given, so give it a
+                    // compact copy of the trace: the engine's carries
+                    // growth slack and sits among the run's transient
+                    // allocations, which a kept trace would pin.
+                    slot.result.trace =
+                        std::make_shared<const Trace>(*slot.result.trace);
                     const ExperimentTask &task = tasks[slot.taskIndex];
                     FaultFrameGuard guard(slot.frame.get());
                     cache->insert(*task.entry, task.unitIndex, slot.acfg,
@@ -299,8 +305,8 @@ socStudyTasks(const RegistryEntry &entry, const StudyConfig &cfg)
 
 /**
  * Split interleaved per-unit results back into the two mode lists.
- * The results are moved, not copied: each carries its whole-experiment
- * trace, and nothing after the reduction reads it.
+ * The results are moved: a copy would share the frozen trace but
+ * still copy three strings and the per-iteration records.
  */
 SocStudy
 reduceInterleaved(const std::string &soc_name, const std::string &model,

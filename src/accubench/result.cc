@@ -3,6 +3,14 @@
 namespace pvar
 {
 
+const std::shared_ptr<const Trace> &
+emptyTrace()
+{
+    static const std::shared_ptr<const Trace> empty =
+        std::make_shared<const Trace>();
+    return empty;
+}
+
 const char *
 experimentStatusName(ExperimentStatus status)
 {

@@ -7,6 +7,7 @@
 #define PVAR_ACCUBENCH_RESULT_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,13 @@ enum class ExperimentStatus : std::uint8_t
 /** Stable wire name ("ok", "invalid-run", ...). */
 const char *experimentStatusName(ExperimentStatus status);
 
+/**
+ * The one process-wide empty trace, built on first use: the trace of
+ * a default-constructed result, so ExperimentResult::trace is never
+ * null without allocating per result.
+ */
+const std::shared_ptr<const Trace> &emptyTrace();
+
 /** Outcome of a multi-iteration experiment on one device. */
 struct ExperimentResult
 {
@@ -93,8 +101,14 @@ struct ExperimentResult
     bool quarantined = false;
     /** @} */
 
-    /** Full time series over the whole experiment. */
-    Trace trace;
+    /**
+     * Full time series over the whole experiment; never null. The
+     * engine records into a trace of its own and freezes it when the
+     * run finishes, so every copy of a result (a cache entry, a hit,
+     * the supervisor's stamped slot) shares one immutable trace:
+     * copying a result copies no samples.
+     */
+    std::shared_ptr<const Trace> trace = emptyTrace();
 
     /** @name Reductions over iterations. @{ */
     OnlineSummary scoreSummary() const;

@@ -79,9 +79,9 @@ simulateCrowd(const CrowdConfig &cfg)
             // The app-side ambient estimate: fit the second cooldown.
             AmbientEstimate est;
             if (auto win =
-                    phaseWindow(r.trace, AccubenchPhase::Cooldown, 1)) {
+                    phaseWindow(*r.trace, AccubenchPhase::Cooldown, 1)) {
                 est = estimateAmbientFromTrace(
-                    r.trace.channel("die_temp"), win->begin, win->end);
+                    r.trace->channel("die_temp"), win->begin, win->end);
             }
 
             CrowdUnitOutcome &out = result.outcomes[i];

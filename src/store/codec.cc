@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/bytes.hh"
@@ -40,7 +41,7 @@ encodedSize(const ExperimentResult &result,
                     result.iterations.size() * kIterationBytes + 4;
     for (const std::string &name : channels) {
         n += 4 + name.size() + 8 +
-             result.trace.channel(name).size() * kSampleBytes;
+             result.trace->channel(name).size() * kSampleBytes;
     }
     return n + 1 + 4 + 1; // v2 supervision outcome
 }
@@ -50,7 +51,7 @@ encodedSize(const ExperimentResult &result,
 std::string
 encodeExperimentResult(const ExperimentResult &result)
 {
-    std::vector<std::string> channels = result.trace.channelNames();
+    std::vector<std::string> channels = result.trace->channelNames();
     ByteWriter w;
     w.reserve(encodedSize(result, channels));
     w.u32(kCodecVersion);
@@ -73,7 +74,7 @@ encodeExperimentResult(const ExperimentResult &result)
 
     w.u32(static_cast<std::uint32_t>(channels.size()));
     for (const std::string &name : channels) {
-        const TraceChannel &ch = result.trace.channel(name);
+        const TraceChannel &ch = result.trace->channel(name);
         w.str(name);
         w.u64(ch.size());
         for (const Sample &s : ch.samples()) {
@@ -130,13 +131,14 @@ decodeExperimentResult(std::string_view bytes, ExperimentResult &out)
     std::uint32_t n_channels = 0;
     if (!r.u32(n_channels) || n_channels > kMaxCount)
         return false;
+    auto trace = std::make_shared<Trace>();
     for (std::uint32_t c = 0; c < n_channels; ++c) {
         std::string name;
         std::uint64_t n_samples = 0;
         if (!r.str(name) || !r.u64(n_samples) ||
             n_samples > kMaxCount)
             return false;
-        TraceChannel &ch = out.trace.channel(name);
+        TraceChannel &ch = trace->channel(name);
         // A corrupt count cannot reserve more than the bytes present.
         ch.reserve(std::min<std::uint64_t>(n_samples,
                                            r.remaining() / kSampleBytes));
@@ -148,6 +150,7 @@ decodeExperimentResult(std::string_view bytes, ExperimentResult &out)
             ch.record(Time::usec(when), value);
         }
     }
+    out.trace = std::move(trace);
 
     if (version >= 2) {
         std::uint8_t status = 0, quarantined = 0;

@@ -27,6 +27,12 @@
  * cache is thread-safe (the scheduler calls in from every worker),
  * and the simulation runs between a lookup() miss and its insert(),
  * outside the lock, so concurrent misses don't serialize.
+ *
+ * An entry is a copy of the result, and a hit hands out a copy of the
+ * entry; both are cheap because a result's trace is frozen and shared
+ * (ExperimentResult::trace), so neither copies a sample under the
+ * mutex. The caller owns its copy's supervision fields, and a trace it
+ * holds outlives the entry's eviction.
  */
 
 #ifndef PVAR_STORE_RESULT_CACHE_HH

@@ -274,8 +274,8 @@ TEST(Batch, DivergingCohortTracesMatchIndividualRuns)
     std::vector<ExperimentResult> cohort = runExperimentCohort(tasks);
 
     for (std::size_t i = 0; i < 2; ++i) {
-        const TraceChannel &a = solo[i].trace.channel("die_temp");
-        const TraceChannel &b = cohort[i].trace.channel("die_temp");
+        const TraceChannel &a = solo[i].trace->channel("die_temp");
+        const TraceChannel &b = cohort[i].trace->channel("die_temp");
         ASSERT_EQ(a.size(), b.size());
         for (std::size_t s = 0; s < a.size(); ++s) {
             EXPECT_EQ(a.samples()[s].when, b.samples()[s].when);

@@ -79,13 +79,13 @@ TEST(PhaseWindows, MatchesRealExperimentStructure)
     cfg.accubench.workloadDuration = Time::sec(30);
     ExperimentResult r = runExperiment(*device, cfg);
 
-    auto windows = phaseWindows(r.trace);
+    auto windows = phaseWindows(*r.trace);
     // 2 iterations x (warmup, cooldown, workload, idle marker).
     ASSERT_EQ(windows.size(), 8u);
-    auto w0 = phaseWindow(r.trace, AccubenchPhase::Workload, 0);
+    auto w0 = phaseWindow(*r.trace, AccubenchPhase::Workload, 0);
     ASSERT_TRUE(w0.has_value());
     EXPECT_NEAR(w0->duration().toSec(), 30.0, 0.5);
-    auto c1 = phaseWindow(r.trace, AccubenchPhase::Cooldown, 1);
+    auto c1 = phaseWindow(*r.trace, AccubenchPhase::Cooldown, 1);
     ASSERT_TRUE(c1.has_value());
     EXPECT_NEAR(c1->duration().toSec(),
                 r.iterations[1].cooldownTime.toSec(), 1.0);
@@ -246,7 +246,7 @@ TEST(ThrottleAnalysis, RealExperimentProducesConsistentMetrics)
 
     ThrottleAnalysisConfig ta;
     ta.topFreqMhz = 2265;
-    ThrottleAnalysis a = analyzeThrottling(r.trace, ta);
+    ThrottleAnalysis a = analyzeThrottling(*r.trace, ta);
     EXPECT_GT(a.meanFreqMhz, 500.0);
     EXPECT_LE(a.meanFreqMhz, 2265.0);
     EXPECT_GE(a.fractionCapped, 0.0);

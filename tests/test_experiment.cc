@@ -113,8 +113,8 @@ TEST(Experiment, TraceCoversWholeRun)
 {
     auto d = makeUnitForSoc("SD-800", UnitCorner{"x", 0, 0, 0, 2});
     ExperimentResult r = runExperiment(*d, quickConfig());
-    ASSERT_TRUE(r.trace.hasChannel("die_temp"));
-    const auto &ch = r.trace.channel("die_temp");
+    ASSERT_TRUE(r.trace->hasChannel("die_temp"));
+    const auto &ch = r.trace->channel("die_temp");
     // Box stabilization + 2 iterations at >= 90 s each.
     EXPECT_GT(ch.samples().back().when, Time::minutes(3));
 }

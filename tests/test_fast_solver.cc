@@ -348,7 +348,7 @@ TEST(FastSolver, FullExperimentMatchesSteppedOnAllBuiltins)
 
         for (const char *ch : {"die_temp", "case_temp"}) {
             double worst = maxPhaseAlignedDiff(
-                r_stepped.trace, r_fast.trace, ch, Time::msec(600));
+                *r_stepped.trace, *r_fast.trace, ch, Time::msec(600));
             EXPECT_LE(worst, 3.0)
                 << entry.spec.socName << " channel " << ch;
         }

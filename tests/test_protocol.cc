@@ -9,6 +9,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "accubench/protocol.hh"
@@ -16,6 +17,7 @@
 #include "report/json.hh"
 #include "sim/logging.hh"
 #include "sim/strfmt.hh"
+#include "store/result_cache.hh"
 
 namespace pvar
 {
@@ -158,6 +160,33 @@ TEST(Protocol, ParallelStudyIsBitIdenticalToSerial)
     SocStudy parallel = runSocStudy("SD-805", quickStudyConfig(8));
     setLogLevel(old);
     expectStudiesBitIdentical(serial, parallel);
+}
+
+TEST(Protocol, ConcurrentWarmStudiesShareOneCache)
+{
+    // Warm hits hand out the cached results' shared, frozen traces;
+    // two studies reading them at once must both reproduce the cold
+    // bytes (the TSan and ASan stages run this binary).
+    LogLevel old = setLogLevel(LogLevel::Quiet);
+    ResultCache cache(64);
+    StudyConfig cfg;
+    cfg.iterations = 1;
+    cfg.solver = SolverKind::Fast;
+    cfg.jobs = 2;
+    cfg.cache = &cache;
+    std::string cold = toJson(runFullStudy(cfg));
+    std::uint64_t cold_misses = cache.stats().misses;
+
+    std::string warm[2];
+    std::thread other([&] { warm[1] = toJson(runFullStudy(cfg)); });
+    warm[0] = toJson(runFullStudy(cfg));
+    other.join();
+    setLogLevel(old);
+
+    EXPECT_EQ(warm[0], cold);
+    EXPECT_EQ(warm[1], cold);
+    EXPECT_EQ(cache.stats().misses, cold_misses);
+    EXPECT_EQ(cache.stats().hits, 2 * cold_misses);
 }
 
 // ---------------------------------------------------------------------

@@ -220,6 +220,72 @@ TEST(ResultCacheTest, LruBoundsTheFootprint)
     EXPECT_EQ(cache.stats().misses, misses + 1);
 }
 
+namespace
+{
+
+/** A result whose trace holds @p n samples of one channel. */
+ExperimentResult
+tracedResult(const std::string &unit_id, int n)
+{
+    ExperimentResult r;
+    r.unitId = unit_id;
+    auto trace = std::make_shared<Trace>();
+    for (int i = 0; i < n; ++i)
+        trace->record("die_temp", Time::msec(10 * i), 30.0 + 0.25 * i);
+    r.trace = std::move(trace);
+    return r;
+}
+
+} // namespace
+
+TEST(ResultCacheTest, HitsShareTheCachedTrace)
+{
+    const RegistryEntry &entry = DeviceRegistry::builtin().at("SD-805");
+    ExperimentConfig cfg;
+    ResultCache cache(8);
+    cache.insert(entry, 0, cfg, tracedResult("probe", 64));
+
+    ExperimentResult first, second;
+    ASSERT_TRUE(cache.lookup(entry, 0, cfg, first));
+    ASSERT_TRUE(cache.lookup(entry, 0, cfg, second));
+    EXPECT_EQ(first.trace.get(), second.trace.get());
+    EXPECT_EQ(first.trace->channel("die_temp").size(), 64u);
+
+    // The supervisor stamps its own copy; the entry keeps its fields.
+    first.status = ExperimentStatus::InvalidRun;
+    first.attempts = 3;
+    first.quarantined = true;
+    ExperimentResult third;
+    ASSERT_TRUE(cache.lookup(entry, 0, cfg, third));
+    EXPECT_EQ(third.status, ExperimentStatus::Ok);
+    EXPECT_EQ(third.attempts, 1u);
+    EXPECT_FALSE(third.quarantined);
+    EXPECT_EQ(third.trace.get(), first.trace.get());
+}
+
+TEST(ResultCacheTest, EvictedEntryLeavesAHeldTraceReadable)
+{
+    const RegistryEntry &entry = DeviceRegistry::builtin().at("SD-800");
+    ExperimentConfig cfg;
+    ResultCache cache(1);
+    cache.insert(entry, 0, cfg, tracedResult("a", 4096));
+
+    ExperimentResult held;
+    ASSERT_TRUE(cache.lookup(entry, 0, cfg, held));
+    cache.insert(entry, 1, cfg, tracedResult("b", 8));
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    ExperimentResult gone;
+    EXPECT_FALSE(cache.lookup(entry, 0, cfg, gone));
+
+    const std::vector<Sample> &samples =
+        held.trace->channel("die_temp").samples();
+    ASSERT_EQ(samples.size(), 4096u);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        EXPECT_EQ(samples[i].when, Time::msec(10 * static_cast<int>(i)));
+        EXPECT_EQ(samples[i].value, 30.0 + 0.25 * static_cast<int>(i));
+    }
+}
+
 TEST(ResultCacheTest, ColdAndWarmStudiesAreByteIdentical)
 {
     QuietLog quiet;

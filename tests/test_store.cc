@@ -33,6 +33,7 @@
 #include "report/json.hh"
 #include "sim/bytes.hh"
 #include "sim/logging.hh"
+#include "sim/strfmt.hh"
 #include "store/codec.hh"
 #include "store/durable_cache.hh"
 #include "store/record_log.hh"
@@ -115,11 +116,12 @@ makeResult(int seed)
         it.cooldownReachedTarget = (seed + i) % 2 == 0;
         r.iterations.push_back(it);
     }
+    auto trace = std::make_shared<Trace>();
     for (int s = 0; s < 3 + seed; ++s) {
-        r.trace.record("temp_c", Time::msec(10 * s), 26.0 + s * 0.125);
-        r.trace.record("power_w", Time::msec(10 * s),
-                       1.0 / (s + 1.0));
+        trace->record("temp_c", Time::msec(10 * s), 26.0 + s * 0.125);
+        trace->record("power_w", Time::msec(10 * s), 1.0 / (s + 1.0));
     }
+    r.trace = std::move(trace);
     return r;
 }
 
@@ -236,10 +238,10 @@ TEST(StoreCodec, RoundTripsBitExactly)
             EXPECT_EQ(a.cooldownReachedTarget,
                       b.cooldownReachedTarget);
         }
-        ASSERT_EQ(decoded.trace.channelNames(),
-                  original.trace.channelNames());
-        const auto &a = original.trace.channel("temp_c").samples();
-        const auto &b = decoded.trace.channel("temp_c").samples();
+        ASSERT_EQ(decoded.trace->channelNames(),
+                  original.trace->channelNames());
+        const auto &a = original.trace->channel("temp_c").samples();
+        const auto &b = decoded.trace->channel("temp_c").samples();
         ASSERT_EQ(a.size(), b.size());
         for (std::size_t s = 0; s < a.size(); ++s) {
             EXPECT_EQ(a[s].when, b[s].when);
@@ -784,6 +786,41 @@ TEST(DurableCache, WarmRestartSkipsRecomputation)
     EXPECT_EQ(computes, 2);
 }
 
+TEST(DurableCache, StoreHitIsPromotedWithoutCopyingTheTrace)
+{
+    QuietLog quiet;
+    std::string dir = freshDir("promote");
+    const RegistryEntry &entry = DeviceRegistry::builtin().at("SD-805");
+    ExperimentConfig cfg;
+    ExperimentResult inserted = makeResult(5);
+    {
+        DurableCache cache(dir);
+        cache.insert(entry, 0, cfg, inserted);
+    }
+
+    // Reopened: the first lookup decodes from disk and promotes the
+    // result into the LRU; the second is an LRU hit on that entry.
+    DurableCache reopened(dir);
+    ExperimentResult first, second;
+    ASSERT_TRUE(reopened.lookup(entry, 0, cfg, first));
+    ASSERT_TRUE(reopened.lookup(entry, 0, cfg, second));
+    EXPECT_EQ(reopened.storeStats().hits, 1u);
+    EXPECT_EQ(reopened.lruStats().hits, 1u);
+    EXPECT_EQ(first.trace.get(), second.trace.get());
+    EXPECT_NE(first.trace.get(), inserted.trace.get());
+
+    ASSERT_EQ(first.trace->channelNames(), inserted.trace->channelNames());
+    for (const std::string &name : inserted.trace->channelNames()) {
+        const auto &want = inserted.trace->channel(name).samples();
+        const auto &got = first.trace->channel(name).samples();
+        ASSERT_EQ(got.size(), want.size()) << name;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i].when, want[i].when) << name;
+            EXPECT_EQ(got[i].value, want[i].value) << name;
+        }
+    }
+}
+
 TEST(DurableCache, ResumedStudyIsByteIdenticalAndSkipsDoneWork)
 {
     QuietLog quiet;
@@ -863,6 +900,36 @@ TEST(StoreCodec, SupervisionOutcomeRoundTrips)
     std::string bad_flag = bytes;
     bad_flag[bytes.size() - 1] = 2; // quarantined neither 0 nor 1
     EXPECT_FALSE(decodeExperimentResult(bad_flag, scratch));
+}
+
+TEST(StoreCodec, BenchedPlaceholderBytesArePinned)
+{
+    // A quarantined unit's placeholder carries the shared empty trace;
+    // it must still encode "no channels" as u32 0. The hex was
+    // captured from the codec before traces became shared.
+    ExperimentResult benched;
+    benched.unitId = "unit-b";
+    benched.model = "Nexus 6";
+    benched.socName = "SD-805";
+    benched.status = ExperimentStatus::TransientFault;
+    benched.attempts = 3;
+    benched.quarantined = true;
+    ASSERT_NE(benched.trace, nullptr);
+    EXPECT_EQ(benched.trace, emptyTrace());
+
+    std::string bytes = encodeExperimentResult(benched);
+    std::string hex;
+    for (unsigned char c : bytes)
+        hex += strfmt("%02x", c);
+    EXPECT_EQ(hex, "0200000006000000756e69742d62070000004e6578757320"
+                   "360600000053442d383035000000000000000002030000"
+                   "0001");
+
+    ExperimentResult decoded;
+    ASSERT_TRUE(decodeExperimentResult(bytes, decoded));
+    ASSERT_NE(decoded.trace, nullptr);
+    EXPECT_TRUE(decoded.trace->channelNames().empty());
+    EXPECT_EQ(encodeExperimentResult(decoded), bytes);
 }
 
 TEST(StoreCodec, DecodesVersionOneRecordsWithDefaults)
