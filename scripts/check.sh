@@ -369,13 +369,25 @@ cmake --build build-tsan \
 ./build-tsan/pvar_study --fleet examples/custom_fleet.json \
     --iterations 1 --jobs 4 --quiet
 # Durable store under the parallel scheduler: every worker appends
-# through the store mutex while the study fans out.
+# through the store lock while the study fans out.
 tsan_store=$(mktemp -d)
 ./build-tsan/pvar_study --soc SD-805 --iterations 1 --jobs 4 --quiet \
     --cache-dir "$tsan_store"
 ./build-tsan/pvar_study --soc SD-805 --iterations 1 --jobs 4 --quiet \
     --cache-dir "$tsan_store"
 rm -rf "$tsan_store"
+# The full fleet through the store: the warm rerun recovers its 36
+# records on every core and then reads them from four workers at once
+# (SD-805 alone has two cohorts, so at most two readers). Cold and
+# warm bytes must match.
+tsan_fleet=$(mktemp -d)
+for pass in cold warm; do
+    ./build-tsan/pvar_study --solver fast --iterations 1 --jobs 4 \
+        --cache-dir "$tsan_fleet/store" --json --quiet \
+        --output "$tsan_fleet/$pass.json"
+done
+cmp "$tsan_fleet/cold.json" "$tsan_fleet/warm.json"
+rm -rf "$tsan_fleet"
 service_smoke ./build-tsan/pvar_served ./build-tsan/pvar_study
 kill_recovery ./build-tsan/pvar_served ./build-tsan/pvar_study \
     ./build-tsan/pvar_storectl

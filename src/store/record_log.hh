@@ -9,9 +9,11 @@
  * file, keeps the longest prefix of valid records, and truncates the
  * rest. A record that survives recovery round-trips bit-identically —
  * the CRC covers every payload byte — and a record that does not
- * simply vanishes, which callers treat as "recompute". The recovery
- * scan hands every valid record to an optional visitor, so an owner
- * builds its index in the same single pass over the file.
+ * simply vanishes, which callers treat as "recompute". Recovery walks
+ * the length prefixes to find the record boundaries, verifies the
+ * payloads on every core, and hands the valid prefix to an optional
+ * visitor in file order, so an owner builds its index while the file
+ * is read once.
  *
  * Byte-level format (all integers little-endian; see DESIGN.md §2.4):
  *
@@ -44,7 +46,7 @@ std::uint32_t crc32(const void *data, std::size_t size);
 
 /**
  * Called with a valid record's file offset, key and value. The views
- * point into the log's read buffer and are valid only for the call.
+ * point into a read buffer and are valid only for the call.
  */
 using RecordVisitor = std::function<void(std::int64_t offset,
                                          std::string_view key,
@@ -63,8 +65,11 @@ struct RecordLogStats
 };
 
 /**
- * One open record log file. Not thread-safe by itself — the owning
- * ExperimentStore serializes access.
+ * One open record log file. Reads and writes follow a readers-writer
+ * contract: any number of threads may call the const readAt() at
+ * once, each with its own buffer, but every other member must not
+ * overlap any other call. The owning ExperimentStore enforces it with
+ * a shared mutex.
  */
 class RecordLog
 {
@@ -74,8 +79,8 @@ class RecordLog
      * any torn tail. @p sync_every batches fsyncs: 1 syncs every
      * append, N syncs every Nth, 0 leaves durability to the OS.
      * @p on_record (may be empty) sees every record that survives
-     * recovery, in file order. Fatal when the file cannot be created
-     * or opened.
+     * recovery, in file order, on the calling thread. Fatal when the
+     * file cannot be created or opened.
      */
     explicit RecordLog(std::string path, int sync_every = 8,
                        const RecordVisitor &on_record = {});
@@ -93,9 +98,21 @@ class RecordLog
 
     /**
      * Read the record at @p offset (as returned by append() or
-     * scan()). Returns false — never throws, never crashes — on any
-     * structural or checksum failure. On success @p key and @p value
-     * view the log's read buffer, valid until the next read.
+     * scan()) into @p buf, which grows to the payload size. Returns
+     * false — never throws, never crashes — on any structural or
+     * checksum failure, and then releases @p buf, which a corrupt
+     * length may have grown far past any real record. On success
+     * @p key and @p value view @p buf, valid until it next changes.
+     *
+     * Safe to call from many threads at once, each with its own
+     * @p buf, as long as no append() or sync() runs meanwhile.
+     */
+    bool readAt(std::int64_t offset, std::vector<unsigned char> &buf,
+                std::string_view &key, std::string_view &value) const;
+
+    /**
+     * readAt() into the log's own buffer: the views stay valid until
+     * the next read through this overload. Not for concurrent use.
      */
     bool readAt(std::int64_t offset, std::string_view &key,
                 std::string_view &value);
@@ -137,11 +154,28 @@ class RecordLog
     std::int64_t _end = 0; ///< append position (file size)
     bool _degraded = false;
     RecordLogStats _stats;
-    // One payload buffer for every read: it grows to the largest
-    // record once, so reads neither allocate nor zero-fill after.
+    // The buffer of the single-reader readAt() overload and scan():
+    // it grows to the largest record they read. Recovery never uses
+    // it, so an opened log holds no record in memory.
     std::vector<unsigned char> _readBuf;
 
     void recover(const RecordVisitor &on_record);
+    /**
+     * Check the records that start at @p offsets (all but its last
+     * entry, which is where the last record ends) on every core, each
+     * lane in a buffer of its own. Returns how many leading records
+     * pass every check of readAt().
+     */
+    std::size_t verifiedPrefix(const std::vector<std::int64_t> &offsets) const;
+    /**
+     * pread the @p length-byte payload of the record at @p offset into
+     * @p buf and split it into @p key and @p value: readAt() without
+     * the checksum. False on a short read or lengths that do not add
+     * up.
+     */
+    bool readPayload(std::int64_t offset, std::uint32_t length,
+                     std::vector<unsigned char> &buf,
+                     std::string_view &key, std::string_view &value) const;
 };
 
 } // namespace pvar

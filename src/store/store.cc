@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -89,82 +90,97 @@ ExperimentStore::openLogLocked(const std::string &path)
         path, _syncEvery,
         [this](std::int64_t offset, std::string_view key,
                std::string_view value) {
-            indexLocked(key, offset, value);
+            indexLocked(contentDigest(key), offset, value);
         });
 }
 
 void
-ExperimentStore::indexLocked(std::string_view key_text,
-                             std::int64_t offset, std::string_view value)
+ExperimentStore::indexLocked(std::string digest, std::int64_t offset,
+                             std::string_view value)
 {
     // The last record per digest wins, and the kind tally follows
     // whichever record kind won.
-    std::string digest = contentDigest(key_text);
-    _index[digest] = offset;
     if (valueIsLivePoint(value))
         _livePointSizes[digest] = value.size();
     else
         _livePointSizes.erase(digest);
+    _index[std::move(digest)] = offset;
+}
+
+bool
+ExperimentStore::readRecord(
+    const std::string &key_text,
+    const std::function<bool(std::string_view)> &accept)
+{
+    std::string digest = contentDigest(key_text);
+    std::int64_t offset = -1;
+    bool read = false;
+    std::vector<unsigned char> buf;
+    std::string_view key, value;
+    {
+        std::shared_lock<std::shared_mutex> lock(_mutex);
+        // Memory-only mode: pretend the disk layer is empty rather
+        // than trust a log that has already lost data.
+        auto it = _degraded ? _index.end() : _index.find(digest);
+        if (it == _index.end()) {
+            ++_misses;
+            return false;
+        }
+        offset = it->second;
+        {
+            std::lock_guard<std::mutex> lend(_buffersMutex);
+            if (!_buffers.empty()) {
+                buf = std::move(_buffers.back());
+                _buffers.pop_back();
+            }
+        }
+        read = _log->readAt(offset, buf, key, value);
+    }
+    // The views point into this call's own buffer: the key check and
+    // the decode need no lock.
+    bool hit = read && key == key_text && accept(value);
+    {
+        std::lock_guard<std::mutex> lend(_buffersMutex);
+        _buffers.push_back(std::move(buf));
+    }
+    if (hit) {
+        ++_hits;
+        return true;
+    }
+    {
+        // Collision or corruption: forget the entry so the caller's
+        // recompute can supersede it, unless a writer already has.
+        std::lock_guard<std::shared_mutex> lock(_mutex);
+        auto it = _index.find(digest);
+        if (it != _index.end() && it->second == offset) {
+            _index.erase(it);
+            _livePointSizes.erase(digest);
+        }
+    }
+    ++_misses;
+    return false;
 }
 
 bool
 ExperimentStore::get(const std::string &key_text, ExperimentResult &out)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
-    if (_degraded) {
-        // Memory-only mode: pretend the disk layer is empty rather
-        // than trust a log that has already lost data.
-        ++_misses;
-        return false;
-    }
-    std::string digest = contentDigest(key_text);
-    auto it = _index.find(digest);
-    if (it == _index.end()) {
-        ++_misses;
-        return false;
-    }
-    std::string_view key, value;
-    if (!_log->readAt(it->second, key, value) || key != key_text ||
-        !decodeExperimentResult(value, out)) {
-        // Collision or corruption: forget the entry so the caller's
-        // recompute can supersede it.
-        _index.erase(it);
-        _livePointSizes.erase(digest);
-        ++_misses;
-        return false;
-    }
-    ++_hits;
-    return true;
+    return readRecord(key_text, [&](std::string_view value) {
+        return decodeExperimentResult(value, out);
+    });
 }
 
 bool
 ExperimentStore::getBytes(const std::string &key_text, std::string &out)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
-    if (_degraded) {
-        ++_misses;
-        return false;
-    }
-    std::string digest = contentDigest(key_text);
-    auto it = _index.find(digest);
-    if (it == _index.end()) {
-        ++_misses;
-        return false;
-    }
-    std::string_view key, value;
-    if (!_log->readAt(it->second, key, value) || key != key_text ||
-        !validateLivePointValue(value)) {
-        // Same ladder as get(): a digest collision, a corrupt value,
-        // or a *result* record under this key all degrade to a miss
-        // so the caller cold-starts and supersedes the entry.
-        _index.erase(it);
-        _livePointSizes.erase(digest);
-        ++_misses;
-        return false;
-    }
-    ++_hits;
-    out.assign(value);
-    return true;
+    // Same ladder as get(): a digest collision, a corrupt value, or a
+    // *result* record under this key all degrade to a miss so the
+    // caller cold-starts and supersedes the entry.
+    return readRecord(key_text, [&](std::string_view value) {
+        if (!validateLivePointValue(value))
+            return false;
+        out.assign(value);
+        return true;
+    });
 }
 
 void
@@ -176,7 +192,8 @@ ExperimentStore::putBytes(const std::string &key_text,
              "is not a valid live point (%zu bytes)", value.size());
         return;
     }
-    std::lock_guard<std::mutex> lock(_mutex);
+    std::string digest = contentDigest(key_text);
+    std::lock_guard<std::shared_mutex> lock(_mutex);
     if (_degraded)
         return;
     std::int64_t offset = _log->append(key_text, value);
@@ -184,7 +201,7 @@ ExperimentStore::putBytes(const std::string &key_text,
         noteDegradedLocked();
         return;
     }
-    indexLocked(key_text, offset, value);
+    indexLocked(std::move(digest), offset, value);
     if (_markerOnDisk)
         clearMarkerLocked();
 }
@@ -194,7 +211,8 @@ ExperimentStore::put(const std::string &key_text,
                      const ExperimentResult &result)
 {
     std::string value = encodeExperimentResult(result);
-    std::lock_guard<std::mutex> lock(_mutex);
+    std::string digest = contentDigest(key_text);
+    std::lock_guard<std::shared_mutex> lock(_mutex);
     if (_degraded)
         return; // memory-only: the LRU above still serves this run
     std::int64_t offset = _log->append(key_text, value);
@@ -202,7 +220,7 @@ ExperimentStore::put(const std::string &key_text,
         noteDegradedLocked();
         return;
     }
-    indexLocked(key_text, offset, value);
+    indexLocked(std::move(digest), offset, value);
     if (_markerOnDisk) {
         // A clean write through the full path: the earlier session's
         // degradation no longer describes this directory.
@@ -213,7 +231,7 @@ ExperimentStore::put(const std::string &key_text,
 void
 ExperimentStore::sync()
 {
-    std::lock_guard<std::mutex> lock(_mutex);
+    std::lock_guard<std::shared_mutex> lock(_mutex);
     if (_degraded)
         return;
     _log->sync();
@@ -224,7 +242,7 @@ ExperimentStore::sync()
 std::uint64_t
 ExperimentStore::compact()
 {
-    std::lock_guard<std::mutex> lock(_mutex);
+    std::lock_guard<std::shared_mutex> lock(_mutex);
     RecordLogStats before = _log->stats();
 
     // Write the surviving records into a sibling file, fsync it, then
@@ -286,7 +304,7 @@ ExperimentStore::forEach(
                              const ExperimentResult &)> &fn,
     std::uint64_t *bad, std::uint64_t *live_points)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
+    std::lock_guard<std::shared_mutex> lock(_mutex);
     _log->scan([&](std::int64_t offset, std::string_view key,
                    std::string_view value) {
         auto it = _index.find(contentDigest(key));
@@ -314,7 +332,7 @@ ExperimentStore::forEach(
 ExperimentStoreStats
 ExperimentStore::stats() const
 {
-    std::lock_guard<std::mutex> lock(_mutex);
+    std::shared_lock<std::shared_mutex> lock(_mutex);
     RecordLogStats ls = _log->stats();
     ExperimentStoreStats s;
     s.records = _index.size();
@@ -344,7 +362,7 @@ ExperimentStore::logPath() const
 bool
 ExperimentStore::degraded() const
 {
-    std::lock_guard<std::mutex> lock(_mutex);
+    std::shared_lock<std::shared_mutex> lock(_mutex);
     return _degraded;
 }
 

@@ -19,19 +19,26 @@
  * decodes), then atomically renames it into place: a crash during
  * compaction leaves either the old or the new file, both valid.
  *
- * Thread-safe: the study scheduler calls in from every worker.
+ * Thread-safe: the study scheduler calls in from every worker. Reads
+ * run concurrently: get() and getBytes() hold the store's shared lock
+ * only while they find their record and read it into a buffer of
+ * their own, and check the key and decode after releasing it. Writes,
+ * sync(), compact() and forEach() hold it exclusively.
  */
 
 #ifndef PVAR_STORE_STORE_HH
 #define PVAR_STORE_STORE_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "accubench/result.hh"
 #include "store/record_log.hh"
@@ -139,7 +146,7 @@ class ExperimentStore
     std::string markerPath() const;
 
   private:
-    mutable std::mutex _mutex;
+    mutable std::shared_mutex _mutex;
     std::string _dir;
     int _syncEvery;
     std::unique_ptr<RecordLog> _log;
@@ -147,15 +154,30 @@ class ExperimentStore
     // Digest → value size for live (indexed) live-point records, so
     // stats() can report kind counts without rescanning the log.
     std::unordered_map<std::string, std::uint64_t> _livePointSizes;
-    std::uint64_t _hits = 0;
-    std::uint64_t _misses = 0;
+    // Bumped by concurrent readers, so atomic; stats() reports them
+    // as plain fields.
+    std::atomic<std::uint64_t> _hits{0};
+    std::atomic<std::uint64_t> _misses{0};
     bool _degraded = false;     ///< this session hit an I/O failure
     bool _markerOnDisk = false; ///< marker file currently exists
+    // Read buffers not lent to a get() or getBytes() right now: the
+    // store keeps one per reader it had at once, each grown to the
+    // largest record it held, and frees them when it closes.
+    std::mutex _buffersMutex;
+    std::vector<std::vector<unsigned char>> _buffers;
 
+    /**
+     * The read path of get() and getBytes(): a hit when @p key_text's
+     * record reads back with the same key text and @p accept takes its
+     * value. Any other outcome is a miss, and a record that was found
+     * but failed a check leaves the index.
+     */
+    bool readRecord(const std::string &key_text,
+                    const std::function<bool(std::string_view)> &accept);
     /** (Re)open the log at @p path, indexing it during recovery. */
     void openLogLocked(const std::string &path);
-    /** Point the index at the record for @p key_text at @p offset. */
-    void indexLocked(std::string_view key_text, std::int64_t offset,
+    /** Point the index at the record for @p digest at @p offset. */
+    void indexLocked(std::string digest, std::int64_t offset,
                      std::string_view value);
     void noteDegradedLocked();
     void clearMarkerLocked();

@@ -5,15 +5,21 @@
  * the digest-indexed ExperimentStore with compaction, and the
  * DurableCache warm-restart behavior.
  *
- * The fault-injection suite enforces the PR's recovery property: for
- * ANY prefix truncation of the log — every byte boundary, including
- * mid-header — and for a bit flip at every byte of the final record,
- * open() succeeds and every surviving record round-trips
- * bit-identically. Corruption may cost records, never correctness.
+ * The fault-injection suite enforces the recovery property: for ANY
+ * prefix truncation of the log — every byte boundary, including
+ * mid-header — for a bit flip at every byte of the final record, and
+ * for a corrupt payload or length prefix in any one record of many,
+ * open() succeeds, keeps exactly the records before the first damaged
+ * one, and every survivor round-trips bit-identically. Corruption may
+ * cost records, never correctness. The concurrency tests read one
+ * store from several threads at once, also while another appends.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -22,6 +28,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include <sys/stat.h>
@@ -33,6 +40,7 @@
 #include "report/json.hh"
 #include "sim/bytes.hh"
 #include "sim/logging.hh"
+#include "sim/parallel.hh"
 #include "sim/strfmt.hh"
 #include "store/codec.hh"
 #include "store/durable_cache.hh"
@@ -89,6 +97,32 @@ writeFileBytes(const std::string &path, const std::string &bytes)
     f.write(bytes.data(),
             static_cast<std::streamsize>(bytes.size()));
     ASSERT_TRUE(f.good()) << path;
+}
+
+/** XOR the byte at @p pos of the file at @p path with @p mask, in place. */
+void
+flipFileByte(const std::string &path, std::size_t pos, unsigned char mask)
+{
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good()) << path;
+    f.seekg(static_cast<std::streamoff>(pos));
+    char c = 0;
+    ASSERT_TRUE(f.get(c)) << path << " byte " << pos;
+    f.seekp(static_cast<std::streamoff>(pos));
+    f.put(static_cast<char>(static_cast<unsigned char>(c) ^ mask));
+    ASSERT_TRUE(f.good()) << path;
+}
+
+/** Run @p fn(t) on @p threads threads at once and join them. */
+template <typename Fn>
+void
+onThreads(int threads, Fn fn)
+{
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t)
+        pool.emplace_back(fn, t);
+    for (std::thread &th : pool)
+        th.join();
 }
 
 /**
@@ -393,14 +427,14 @@ struct GoldenLog
     std::vector<std::size_t> ends; ///< file size after each append
 };
 
-/** Build a 3-record log and remember every record boundary. */
+/** Build a @p count-record log and remember every record boundary. */
 GoldenLog
-buildGoldenLog(const std::string &name)
+buildGoldenLog(const std::string &name, int count = 3)
 {
     GoldenLog g;
     g.path = freshDir(name) + "/test.log";
     RecordLog log(g.path, 1);
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < count; ++i) {
         g.keys.push_back("golden-key-" + std::to_string(i));
         g.values.push_back(
             encodeExperimentResult(makeResult(i)).substr(0, 200));
@@ -495,6 +529,56 @@ TEST(RecordLogFaultInjection, DropsFinalRecordOnAnyBitFlip)
                 ++idx;
             });
             EXPECT_EQ(idx, 2u);
+        }
+    }
+}
+
+TEST(RecordLogFaultInjection, TruncatesAtTheFirstCorruptRecordOfMany)
+{
+    // More records than recovery has lanes, so the checksums of later
+    // records run while earlier ones are still being verified: damage
+    // to any one record must cost exactly it and everything after,
+    // whether it hits the payload (a checksum failure) or the length
+    // prefix (a boundary the walk cannot trust).
+    QuietLog quiet;
+    GoldenLog g =
+        buildGoldenLog("flip_many", std::max(12, hardwareJobs() + 1));
+    std::string victim = g.path + ".victim";
+
+    for (std::size_t k = 0; k < g.keys.size(); ++k) {
+        std::size_t start = k == 0 ? 8 : g.ends[k - 1];
+        struct Damage
+        {
+            std::size_t pos;
+            unsigned char mask;
+        };
+        // A payload byte mid-value; the length's low bit (a plausible
+        // but wrong boundary); its top bit (an impossible length).
+        for (Damage d : {Damage{start + 8 + 40, 0x10},
+                         Damage{start, 0x01}, Damage{start + 3, 0x80}}) {
+            writeFileBytes(victim, g.bytes);
+            flipFileByte(victim, d.pos, d.mask);
+
+            std::vector<std::int64_t> visited;
+            RecordLog log(victim, 8,
+                          [&](std::int64_t offset, std::string_view key,
+                              std::string_view value) {
+                              std::size_t idx = visited.size();
+                              ASSERT_LT(idx, k);
+                              EXPECT_EQ(key, g.keys[idx]);
+                              EXPECT_EQ(value, g.values[idx]);
+                              visited.push_back(offset);
+                          });
+            EXPECT_EQ(visited.size(), k)
+                << "record " << k << ", byte " << d.pos;
+            EXPECT_EQ(log.stats().records, k);
+            EXPECT_EQ(log.stats().bytes, start);
+            EXPECT_EQ(log.stats().truncatedBytes, g.bytes.size() - start);
+            for (std::size_t i = 0; i < visited.size(); ++i) {
+                EXPECT_EQ(static_cast<std::size_t>(visited[i]),
+                          i == 0 ? 8 : g.ends[i - 1]);
+            }
+            EXPECT_EQ(readFile(victim), g.bytes.substr(0, start));
         }
     }
 }
@@ -742,6 +826,172 @@ TEST(ExperimentStore, EnospcDuringCompactionAbortsAndKeepsOriginal)
     EXPECT_EQ(reopened.stats().truncatedBytes, 0u);
 }
 
+TEST(ExperimentStore, ConcurrentReadersDecodeIdenticalResults)
+{
+    // Threads reading one reopened store at once each read into their
+    // own buffer and decode outside the lock: every result must still
+    // re-encode to the stored bytes, and every lookup count one hit.
+    QuietLog quiet;
+    std::string dir = freshDir("concurrent_readers");
+    constexpr int kKeys = 12, kThreads = 4, kRounds = 5;
+    std::vector<std::string> keys, values;
+    {
+        ExperimentStore store(dir);
+        for (int i = 0; i < kKeys; ++i) {
+            keys.push_back("{\"experiment\": \"concurrent-" +
+                           std::to_string(i) + "\"}");
+            values.push_back(encodeExperimentResult(makeResult(i)));
+            store.put(keys.back(), makeResult(i));
+        }
+    }
+
+    ExperimentStore store(dir);
+    std::atomic<int> wrong{0};
+    onThreads(kThreads, [&](int t) {
+        for (int round = 0; round < kRounds; ++round) {
+            for (int i = 0; i < kKeys; ++i) {
+                int k = (i + 5 * t) % kKeys; // threads start apart
+                ExperimentResult out;
+                if (!store.get(keys[k], out) ||
+                    encodeExperimentResult(out) != values[k])
+                    ++wrong;
+            }
+        }
+    });
+    EXPECT_EQ(wrong.load(), 0);
+    ExperimentStoreStats s = store.stats();
+    EXPECT_EQ(s.hits, std::uint64_t{kThreads * kRounds * kKeys});
+    EXPECT_EQ(s.misses, 0u);
+    EXPECT_EQ(s.records, std::uint64_t{kKeys});
+}
+
+TEST(ExperimentStore, ConcurrentReadsOfACorruptRecordDropItOnce)
+{
+    QuietLog quiet;
+    std::string dir = freshDir("concurrent_corrupt");
+    std::string log_path = dir + "/experiments.log";
+    std::string victim = "{\"experiment\": \"victim\"}";
+    std::string bystander = "{\"experiment\": \"bystander\"}";
+    constexpr int kThreads = 4;
+    {
+        ExperimentStore store(dir);
+        store.put(bystander, makeResult(0));
+        store.put(victim, makeResult(1));
+    }
+    {
+        // Damage the victim, the log's last record, after the open
+        // indexed it: every reader fails its checksum and misses.
+        ExperimentStore store(dir);
+        flipFileByte(log_path, readFile(log_path).size() - 10, 0x40);
+        std::atomic<int> hits{0};
+        onThreads(kThreads, [&](int) {
+            ExperimentResult out;
+            hits += store.get(victim, out);
+        });
+        EXPECT_EQ(hits.load(), 0);
+        ExperimentStoreStats s = store.stats();
+        EXPECT_EQ(s.misses, std::uint64_t{kThreads});
+        EXPECT_EQ(s.hits, 0u);
+        EXPECT_EQ(s.records, 1u) << "the victim leaves the index";
+        ExperimentResult out;
+        ASSERT_TRUE(store.get(bystander, out));
+        EXPECT_EQ(encodeExperimentResult(out),
+                  encodeExperimentResult(makeResult(0)));
+
+        // The recompute supersedes it and hits.
+        store.put(victim, makeResult(2));
+        ASSERT_TRUE(store.get(victim, out));
+        EXPECT_EQ(encodeExperimentResult(out),
+                  encodeExperimentResult(makeResult(2)));
+    }
+
+    // A reader that read a bad record must not drop the entry a writer
+    // has since pointed at a good one. A live point whose 2 MiB body
+    // fails its digest keeps the readers busy outside the lock, after
+    // their read, while the writer supersedes it.
+    std::string live_key = "{\"live_point\": \"die-0\"}";
+    std::string good = makeLivePointValue("good");
+    std::string bad = makeLivePointValue(std::string(2 << 20, 'x'));
+    bad[40] = 'y'; // a body byte: the digest no longer matches
+    {
+        // Reopening truncates the log at the damaged victim record, so
+        // the bystander is all that stays in front of the live point.
+        RecordLog log(log_path);
+        EXPECT_EQ(log.stats().records, 1u);
+        log.append(live_key, bad);
+    }
+    ExperimentStore store(dir);
+    std::atomic<int> reading{0};
+    onThreads(kThreads + 1, [&](int t) {
+        if (t == kThreads) {
+            while (reading.load() < kThreads)
+                std::this_thread::yield();
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            store.putBytes(live_key, good);
+            return;
+        }
+        ++reading;
+        std::string out;
+        store.getBytes(live_key, out);
+    });
+    std::string out;
+    ASSERT_TRUE(store.getBytes(live_key, out));
+    EXPECT_EQ(out, good);
+    EXPECT_EQ(store.stats().records, 2u);
+}
+
+TEST(ExperimentStore, ReadsRunWhileAnotherThreadAppends)
+{
+    QuietLog quiet;
+    std::string dir = freshDir("read_while_append");
+    constexpr int kOld = 6, kNew = 24, kReaders = 3;
+    auto key = [](int i) {
+        return "{\"experiment\": \"rw-" + std::to_string(i) + "\"}";
+    };
+    std::vector<std::string> values;
+    for (int i = 0; i < kOld + kNew; ++i)
+        values.push_back(encodeExperimentResult(makeResult(i)));
+    {
+        ExperimentStore store(dir);
+        for (int i = 0; i < kOld; ++i)
+            store.put(key(i), makeResult(i));
+    }
+
+    // Readers loop over the reopened records for as long as the writer
+    // appends new ones (fsyncing every fourth).
+    ExperimentStore store(dir, /*sync_every=*/4);
+    std::atomic<bool> writing{true};
+    std::atomic<int> wrong{0}, reads{0};
+    onThreads(kReaders + 1, [&](int t) {
+        if (t == kReaders) {
+            for (int i = kOld; i < kOld + kNew; ++i)
+                store.put(key(i), makeResult(i));
+            writing = false;
+            return;
+        }
+        do {
+            for (int i = 0; i < kOld; ++i) {
+                ExperimentResult out;
+                if (!store.get(key(i), out) ||
+                    encodeExperimentResult(out) != values[i])
+                    ++wrong;
+                ++reads;
+            }
+        } while (writing);
+    });
+    EXPECT_EQ(wrong.load(), 0);
+    ExperimentStoreStats s = store.stats();
+    EXPECT_EQ(s.hits, static_cast<std::uint64_t>(reads.load()));
+    EXPECT_EQ(s.misses, 0u);
+    EXPECT_EQ(s.appends, std::uint64_t{kNew});
+    EXPECT_EQ(s.records, std::uint64_t{kOld + kNew});
+    for (int i = 0; i < kOld + kNew; ++i) {
+        ExperimentResult out;
+        ASSERT_TRUE(store.get(key(i), out)) << i;
+        EXPECT_EQ(encodeExperimentResult(out), values[i]);
+    }
+}
+
 // ---------------------------------------------------------------------
 // DurableCache: warm restarts and resumable studies.
 // ---------------------------------------------------------------------
@@ -819,6 +1069,46 @@ TEST(DurableCache, StoreHitIsPromotedWithoutCopyingTheTrace)
             EXPECT_EQ(got[i].value, want[i].value) << name;
         }
     }
+}
+
+TEST(DurableCache, ConcurrentLivePointFetchesReturnStoredBytes)
+{
+    // Parallel crowd cohorts fetch live points from one store at once:
+    // getBytes() reads outside the exclusive lock like get().
+    QuietLog quiet;
+    std::string dir = freshDir("live_concurrent");
+    constexpr int kPoints = 8, kThreads = 4, kRounds = 4;
+    std::vector<std::string> keys, values;
+    {
+        ExperimentStore store(dir);
+        DurableLivePointCache cache(store);
+        for (int i = 0; i < kPoints; ++i) {
+            keys.push_back("{\"live_point\": \"die-" + std::to_string(i) +
+                           "\"}");
+            values.push_back(makeLivePointValue(
+                std::string(100 + 53 * i, static_cast<char>('a' + i))));
+            cache.store(keys.back(), values.back());
+        }
+    }
+
+    ExperimentStore store(dir);
+    DurableLivePointCache cache(store);
+    std::atomic<int> wrong{0};
+    onThreads(kThreads, [&](int t) {
+        for (int round = 0; round < kRounds; ++round) {
+            for (int i = 0; i < kPoints; ++i) {
+                int k = (i + 3 * t) % kPoints;
+                std::string out;
+                if (!cache.fetch(keys[k], out) || out != values[k])
+                    ++wrong;
+            }
+        }
+    });
+    EXPECT_EQ(wrong.load(), 0);
+    ExperimentStoreStats s = store.stats();
+    EXPECT_EQ(s.hits, std::uint64_t{kThreads * kRounds * kPoints});
+    EXPECT_EQ(s.misses, 0u);
+    EXPECT_EQ(s.livePointRecords, std::uint64_t{kPoints});
 }
 
 TEST(DurableCache, ResumedStudyIsByteIdenticalAndSkipsDoneWork)
