@@ -11,6 +11,33 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every pvar_served a stage starts stays listed here until the stage
+# stops and reaps it. A failed assertion ends the sweep mid-stage
+# (set -e); the EXIT trap then kills and reaps whatever is still
+# listed, so no server outlives the sweep.
+served_pids=()
+track_served() { served_pids+=("$1"); }
+untrack_served() {
+    local keep=() p
+    for p in "${served_pids[@]}"; do
+        [ "$p" = "$1" ] || keep+=("$p")
+    done
+    served_pids=("${keep[@]}")
+}
+stop_served() {
+    untrack_served "$1"
+    kill -TERM "$1"
+    wait "$1"
+}
+reap_served() {
+    local p
+    for p in "${served_pids[@]}"; do
+        kill -KILL "$p" 2>/dev/null || true
+        wait "$p" 2>/dev/null || true
+    done
+}
+trap reap_served EXIT
+
 cmake -B build -G Ninja -DPVAR_WERROR=ON
 cmake --build build
 ctest --test-dir build --output-on-failure -j"$(nproc)"
@@ -38,6 +65,7 @@ service_smoke() {
     tmp=$(mktemp -d)
     "$served" --port 0 --port-file "$tmp/port" --iterations 1 \
         --quiet & local pid=$!
+    track_served "$pid"
     for _ in $(seq 100); do [ -s "$tmp/port" ] && break; sleep 0.1; done
     local port; port=$(cat "$tmp/port")
     curl -sf "http://127.0.0.1:$port/healthz" >/dev/null
@@ -57,8 +85,7 @@ h = json.load(open(sys.argv[1]))
 cache = h["cache"]
 assert cache["hits"] >= cache["misses"] > 0, cache
 EOF
-    kill -TERM "$pid"
-    wait "$pid"
+    stop_served "$pid"
     rm -rf "$tmp"
 }
 service_smoke ./build/pvar_served ./build/pvar_study
@@ -73,6 +100,7 @@ kill_recovery() {
     tmp=$(mktemp -d)
     "$served" --port 0 --port-file "$tmp/port" --iterations 1 \
         --cache-dir "$tmp/store" --quiet & local pid=$!
+    track_served "$pid"
     for _ in $(seq 100); do [ -s "$tmp/port" ] && break; sleep 0.1; done
     local port; port=$(cat "$tmp/port")
     # Warm the store with a completed study, then die mid-request: the
@@ -85,6 +113,7 @@ kill_recovery() {
         "http://127.0.0.1:$port/study" -o /dev/null &
     local curl_pid=$!
     sleep 0.3
+    untrack_served "$pid"
     kill -KILL "$pid"
     wait "$pid" 2>/dev/null || true
     wait "$curl_pid" 2>/dev/null || true
@@ -99,6 +128,7 @@ kill_recovery() {
     # back byte-identical, answered from the store.
     "$served" --port 0 --port-file "$tmp/port2" --iterations 1 \
         --cache-dir "$tmp/store" --quiet & pid=$!
+    track_served "$pid"
     for _ in $(seq 100); do [ -s "$tmp/port2" ] && break; sleep 0.1; done
     port=$(cat "$tmp/port2")
     curl -sf -X POST --data-binary \
@@ -116,8 +146,7 @@ store = h["store"]
 assert store["hits"] > 0 and store["misses"] == 0, store
 assert store["records"] >= 2, store
 EOF
-    kill -TERM "$pid"
-    wait "$pid"
+    stop_served "$pid"
     rm -rf "$tmp"
 }
 kill_recovery ./build/pvar_served ./build/pvar_study ./build/pvar_storectl
@@ -285,16 +314,23 @@ service_load() {
     tmp=$(mktemp -d)
     "$served" --port 0 --port-file "$tmp/port" --iterations 1 \
         --quiet & local pid=$!
+    track_served "$pid"
     for _ in $(seq 100); do [ -s "$tmp/port" ] && break; sleep 0.1; done
     local port; port=$(cat "$tmp/port")
-    # Closed-loop /study: every response is a full study; the sampled
-    # body must be exactly what pvar_study prints.
-    "$loadgen" --port "$port" --path /study \
-        --body '{"device": "SD-805:unit-b", "iterations": 1}' \
-        --connections 2 --duration-ms 800 --warmup-ms 100 \
-        --json "$tmp/study.json" --sample "$tmp/sample.json" --quiet
+    local body='{"device": "SD-805:unit-b", "iterations": 1}'
     "$study" --device SD-805:unit-b --iterations 1 --json --quiet \
         --output "$tmp/cli.json"
+    # Prime the study before the window opens: on a slow host the
+    # first, computing answer could outlast the window and leave
+    # nothing to sample. The primed body must match the CLI too.
+    curl -sf -X POST --data-binary "$body" \
+        "http://127.0.0.1:$port/study" -o "$tmp/prime.json"
+    cmp "$tmp/prime.json" "$tmp/cli.json"
+    # Closed-loop /study: every response is a full study; the sampled
+    # body must be exactly what pvar_study prints.
+    "$loadgen" --port "$port" --path /study --body "$body" \
+        --connections 2 --duration-ms 800 --warmup-ms 100 \
+        --json "$tmp/study.json" --sample "$tmp/sample.json" --quiet
     cmp "$tmp/sample.json" "$tmp/cli.json"
     # Keep-alive versus reconnect-per-request on the cheap endpoint.
     # Interleaved best-of-3 per mode: on a 1-core box a background
@@ -308,8 +344,7 @@ service_load() {
             --duration-ms 600 --warmup-ms 100 --close \
             --json "$tmp/close.$i.json" --quiet
     done
-    kill -TERM "$pid"
-    wait "$pid"
+    stop_served "$pid"
     python3 - "$tmp" "$assert_speedup" <<'EOF'
 import json, sys
 tmp = sys.argv[1]
@@ -420,12 +455,13 @@ chaos_soak ./build-asan/pvar_chaos 2 2
 
 # UndefinedBehaviorSanitizer pass over the numeric core: die and
 # cluster power, the supply solve, the device tick on both solvers,
-# the cohort engine and the study protocol, then a full fast-solver
-# study. Any report aborts the run.
+# the cohort engine and the study protocol, the store (the CRC
+# kernel's intrinsics and the bulk sample codec), then a full
+# fast-solver study. Any report aborts the run.
 cmake -B build-ubsan -G Ninja -DPVAR_SANITIZE=undefined
 cmake --build build-ubsan \
     --target test_die test_cluster_soc test_power test_device \
-        test_fast_solver test_batch test_protocol pvar_study
+        test_fast_solver test_batch test_protocol test_store pvar_study
 ./build-ubsan/tests/test_die
 ./build-ubsan/tests/test_cluster_soc
 ./build-ubsan/tests/test_power
@@ -433,6 +469,7 @@ cmake --build build-ubsan \
 ./build-ubsan/tests/test_fast_solver
 ./build-ubsan/tests/test_batch
 ./build-ubsan/tests/test_protocol
+./build-ubsan/tests/test_store
 ./build-ubsan/pvar_study --solver fast --iterations 1 --quiet
 
 fail=0

@@ -121,7 +121,7 @@ faultWriteStore(int fd, const void *buf, std::size_t len)
 }
 
 int
-faultFsyncStore(int fd)
+faultFsyncStore(int fd, bool dirty)
 {
     FaultHit hit = faultCheck(FaultSite::StoreFsync);
     if (hit.fired) {
@@ -129,6 +129,8 @@ faultFsyncStore(int fd)
             return failWith(EINTR);
         return failWith(EIO);
     }
+    if (!dirty)
+        return 0;
     int rc;
     do {
         rc = ::fsync(fd);

@@ -42,7 +42,10 @@
  *   faultFsyncStore  Eintr -> -1/EINTR; any other firing mode ->
  *                  -1/EIO (the site-level store.fsync rule already
  *                  models "durability point failed"; this one models
- *                  the raw syscall failing).
+ *                  the raw syscall failing). A caller that wrote
+ *                  nothing since its last good fsync passes
+ *                  dirty = false: the site decides exactly as for a
+ *                  real call, but no syscall is issued.
  *
  * EINTR injections never perform the underlying operation, so a
  * correct retry loop re-enters the wrapper and draws the *next*
@@ -75,8 +78,12 @@ ssize_t faultSend(int fd, const void *buf, std::size_t len, int flags);
 /** write(2) through the store.write fault site. */
 ssize_t faultWriteStore(int fd, const void *buf, std::size_t len);
 
-/** fsync(2) through the store.fsync site's syscall-shaped modes. */
-int faultFsyncStore(int fd);
+/**
+ * fsync(2) through the store.fsync site's syscall-shaped modes. With
+ * @p dirty false the site is still consulted, and an unfired call
+ * returns 0 without the syscall.
+ */
+int faultFsyncStore(int fd, bool dirty);
 
 } // namespace pvar
 

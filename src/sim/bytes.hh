@@ -14,6 +14,7 @@
 #ifndef PVAR_SIM_BYTES_HH
 #define PVAR_SIM_BYTES_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -21,6 +22,33 @@
 
 namespace pvar
 {
+
+/** Store @p v at @p p as 8 little-endian bytes. */
+inline void
+storeLe64(char *p, std::uint64_t v)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(p, &v, sizeof(v));
+    } else {
+        for (int i = 0; i < 8; ++i)
+            p[i] = static_cast<char>(v >> (8 * i));
+    }
+}
+
+/** Load 8 little-endian bytes at @p p. */
+inline std::uint64_t
+loadLe64(const char *p)
+{
+    std::uint64_t v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, sizeof(v));
+    } else {
+        for (int i = 0; i < 8; ++i)
+            v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+                 << (8 * i);
+    }
+    return v;
+}
 
 /** Append-only little-endian byte sink. */
 class ByteWriter
@@ -44,10 +72,7 @@ class ByteWriter
     void
     u64(std::uint64_t v)
     {
-        char b[8];
-        for (int i = 0; i < 8; ++i)
-            b[i] = static_cast<char>(v >> (8 * i));
-        _out.append(b, sizeof(b));
+        storeLe64(extend(8), v);
     }
 
     void
@@ -69,6 +94,18 @@ class ByteWriter
     {
         u32(static_cast<std::uint32_t>(s.size()));
         _out.append(s);
+    }
+
+    /**
+     * Grow the output by @p n bytes and return where they start, for a
+     * caller that fills them in place before the next write.
+     */
+    char *
+    extend(std::size_t n)
+    {
+        std::size_t at = _out.size();
+        _out.resize(at + n);
+        return _out.data() + at;
     }
 
     /** Pre-size for @p bytes of output (the bytes do not change). */
@@ -117,11 +154,7 @@ class ByteReader
     {
         if (_pos + 8 > _bytes.size())
             return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(_bytes[_pos + i]))
-                 << (8 * i);
+        v = loadLe64(_bytes.data() + _pos);
         _pos += 8;
         return true;
     }
@@ -154,6 +187,21 @@ class ByteReader
             return false;
         s.assign(_bytes.data() + _pos, len);
         _pos += len;
+        return true;
+    }
+
+    /**
+     * Borrow the next @p n bytes into @p out (a view of the reader's
+     * input, valid as long as it is). False, cursor unmoved, when
+     * fewer remain.
+     */
+    bool
+    take(std::size_t n, std::string_view &out)
+    {
+        if (n > remaining())
+            return false;
+        out = _bytes.substr(_pos, n);
+        _pos += n;
         return true;
     }
 

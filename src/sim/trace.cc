@@ -1,6 +1,7 @@
 #include "sim/trace.hh"
 
 #include <algorithm>
+#include <bit>
 #include <fstream>
 #include <limits>
 
@@ -9,6 +10,28 @@
 
 namespace pvar
 {
+
+void
+writeSampleBlock(ByteWriter &w, const std::vector<Sample> &samples)
+{
+    w.u64(samples.size());
+    char *out = w.extend(samples.size() * kSampleWireBytes);
+    for (const Sample &s : samples) {
+        storeLe64(out, static_cast<std::uint64_t>(s.when.toUsec()));
+        storeLe64(out + 8, std::bit_cast<std::uint64_t>(s.value));
+        out += kSampleWireBytes;
+    }
+}
+
+bool
+readSampleBlock(ByteReader &r, std::uint64_t max_count,
+                std::string_view &block)
+{
+    std::uint64_t n = 0;
+    return r.u64(n) && n <= max_count &&
+           n <= r.remaining() / kSampleWireBytes &&
+           r.take(n * kSampleWireBytes, block);
+}
 
 TraceChannel::TraceChannel(std::string channel_name)
     : _name(std::move(channel_name))
@@ -19,6 +42,20 @@ void
 TraceChannel::record(Time when, double value)
 {
     _samples.push_back(Sample{when, value});
+}
+
+void
+TraceChannel::appendSamples(std::string_view block)
+{
+    std::size_t first = _samples.size();
+    _samples.resize(first + block.size() / kSampleWireBytes);
+    const char *in = block.data();
+    for (std::size_t i = first; i < _samples.size(); ++i) {
+        _samples[i].when =
+            Time::usec(static_cast<std::int64_t>(loadLe64(in)));
+        _samples[i].value = std::bit_cast<double>(loadLe64(in + 8));
+        in += kSampleWireBytes;
+    }
 }
 
 double

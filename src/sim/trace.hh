@@ -27,6 +27,34 @@ struct Sample
     double value;
 };
 
+/**
+ * @name Sample blocks
+ * The one wire form of a run of samples, shared by the store codec
+ * and live-point state:
+ *
+ *   block := n_samples u64 | (when_us i64, value f64)*
+ *
+ * little-endian, each value as its raw IEEE-754 bits, so every double
+ * (-0.0, subnormals, NaN payloads) and every Time round-trips
+ * bit-exactly.
+ * @{
+ */
+
+/** Wire bytes of one sample. */
+constexpr std::size_t kSampleWireBytes = 16;
+
+/** Append @p samples as one block. */
+void writeSampleBlock(ByteWriter &w, const std::vector<Sample> &samples);
+
+/**
+ * Read a block's count and borrow its sample bytes into @p block
+ * (kSampleWireBytes per sample). False when the count exceeds
+ * @p max_count or the input holds fewer samples than it names.
+ */
+bool readSampleBlock(ByteReader &r, std::uint64_t max_count,
+                     std::string_view &block);
+/** @} */
+
 /** A named sequence of observations. */
 class TraceChannel
 {
@@ -37,8 +65,11 @@ class TraceChannel
 
     void record(Time when, double value);
 
-    /** Pre-size for @p n samples (capacity only). */
-    void reserve(std::size_t n) { _samples.reserve(n); }
+    /**
+     * Append every sample of a @p block borrowed by readSampleBlock(),
+     * growing the storage once, by exactly the block's samples.
+     */
+    void appendSamples(std::string_view block);
 
     const std::vector<Sample> &samples() const { return _samples; }
     bool empty() const { return _samples.empty(); }
@@ -73,32 +104,17 @@ class TraceChannel
     std::vector<double> values() const;
 
     /** @name Live-point state (samples; the name is the map key). @{ */
-    void
-    saveState(ByteWriter &w) const
-    {
-        w.u64(static_cast<std::uint64_t>(_samples.size()));
-        for (const Sample &s : _samples) {
-            w.i64(s.when.toUsec());
-            w.f64(s.value);
-        }
-    }
+    void saveState(ByteWriter &w) const { writeSampleBlock(w, _samples); }
 
+    /** Replaces the samples; leaves them untouched on failure. */
     bool
     loadState(ByteReader &r)
     {
-        std::uint64_t n_samples = 0;
-        if (!r.u64(n_samples) || n_samples > 256u * 1024u * 1024u)
+        std::string_view block;
+        if (!readSampleBlock(r, 256u * 1024u * 1024u, block))
             return false;
-        std::vector<Sample> samples;
-        samples.reserve(n_samples);
-        for (std::uint64_t i = 0; i < n_samples; ++i) {
-            std::int64_t when = 0;
-            double value = 0.0;
-            if (!r.i64(when) || !r.f64(value))
-                return false;
-            samples.push_back(Sample{Time::usec(when), value});
-        }
-        _samples = std::move(samples);
+        std::vector<Sample>().swap(_samples);
+        appendSamples(block);
         return true;
     }
     /** @} */

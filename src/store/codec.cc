@@ -1,6 +1,5 @@
 #include "store/codec.hh"
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -27,9 +26,8 @@ constexpr std::uint32_t kCodecVersion = 2;
  */
 constexpr std::uint64_t kMaxCount = 64u * 1024 * 1024;
 
-/** Wire sizes of the fixed-width records below. */
+/** Wire size of one iteration record. */
 constexpr std::size_t kIterationBytes = 8 * 8 + 1;
-constexpr std::size_t kSampleBytes = 8 + 8;
 
 /** Exact byte count encodeExperimentResult() writes for @p result. */
 std::size_t
@@ -41,7 +39,7 @@ encodedSize(const ExperimentResult &result,
                     result.iterations.size() * kIterationBytes + 4;
     for (const std::string &name : channels) {
         n += 4 + name.size() + 8 +
-             result.trace->channel(name).size() * kSampleBytes;
+             result.trace->channel(name).size() * kSampleWireBytes;
     }
     return n + 1 + 4 + 1; // v2 supervision outcome
 }
@@ -74,13 +72,8 @@ encodeExperimentResult(const ExperimentResult &result)
 
     w.u32(static_cast<std::uint32_t>(channels.size()));
     for (const std::string &name : channels) {
-        const TraceChannel &ch = result.trace->channel(name);
         w.str(name);
-        w.u64(ch.size());
-        for (const Sample &s : ch.samples()) {
-            w.i64(s.when.toUsec());
-            w.f64(s.value);
-        }
+        writeSampleBlock(w, result.trace->channel(name).samples());
     }
 
     // v2 supervision outcome.
@@ -134,21 +127,11 @@ decodeExperimentResult(std::string_view bytes, ExperimentResult &out)
     auto trace = std::make_shared<Trace>();
     for (std::uint32_t c = 0; c < n_channels; ++c) {
         std::string name;
-        std::uint64_t n_samples = 0;
-        if (!r.str(name) || !r.u64(n_samples) ||
-            n_samples > kMaxCount)
+        std::string_view block;
+        if (!r.str(name) || !readSampleBlock(r, kMaxCount, block))
             return false;
-        TraceChannel &ch = trace->channel(name);
-        // A corrupt count cannot reserve more than the bytes present.
-        ch.reserve(std::min<std::uint64_t>(n_samples,
-                                           r.remaining() / kSampleBytes));
-        for (std::uint64_t s = 0; s < n_samples; ++s) {
-            std::int64_t when = 0;
-            double value = 0.0;
-            if (!r.i64(when) || !r.f64(value))
-                return false;
-            ch.record(Time::usec(when), value);
-        }
+        // Appends: a repeated channel name extends the channel.
+        trace->channel(name).appendSamples(block);
     }
     out.trace = std::move(trace);
 

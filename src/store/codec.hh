@@ -21,6 +21,8 @@
  *              | workload_us i64 | temp_at_start_c f64
  *              | peak_temp_c f64 | cooldown_reached u8
  *   channel := name str | n_samples u64 | (when_us i64, value f64)*
+ *              (the sample block of sim/trace.hh, shared with
+ *              live-point state)
  *
  * Decoding is total: any truncated, oversized, or structurally wrong
  * input returns false instead of throwing or crashing, so on-disk

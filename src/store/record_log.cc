@@ -11,6 +11,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define PVAR_CRC32_CLMUL 1
+#include <immintrin.h>
+#else
+#define PVAR_CRC32_CLMUL 0
+#endif
+
 #include "fault/fault.hh"
 #include "fault/sysfault.hh"
 #include "sim/logging.hh"
@@ -94,6 +101,95 @@ makeCrcTables()
 
 constexpr CrcTables kCrcTables = makeCrcTables();
 
+/**
+ * Advance the CRC register @p c over @p size bytes with slice-by-8:
+ * eight input bytes per step through kCrcTables, then the bytewise
+ * loop over table 0 for the tail.
+ */
+std::uint32_t
+crc32Tables(std::uint32_t c, const unsigned char *p, std::size_t size)
+{
+    const auto &t = kCrcTables;
+    for (; size >= 8; p += 8, size -= 8) {
+        std::uint32_t lo = c ^ loadLe32(p);
+        std::uint32_t hi = loadLe32(p + 4);
+        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+            t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; size > 0; ++p, --size)
+        c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
+    return c;
+}
+
+#if PVAR_CRC32_CLMUL
+
+/** x = x.lo * k.lo ^ x.hi * k.hi: one 128-bit lane folded forward. */
+__attribute__((target("pclmul,sse4.1"))) inline __m128i
+foldLane(__m128i x, __m128i k)
+{
+    return _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                         _mm_clmulepi64_si128(x, k, 0x11));
+}
+
+/**
+ * Advance the CRC register @p c over @p size bytes, a non-zero
+ * multiple of 64, by carry-less multiplication (Gopal et al., "Fast
+ * CRC Computation for Generic Polynomials Using PCLMULQDQ", Intel
+ * 2009). Four 128-bit lanes each fold 512 bits forward per 64-byte
+ * block; the lanes then fold into one, the 128 bits fold down to 64,
+ * and a Barrett reduction leaves the 32-bit register. All constants
+ * are for the bit-reflected polynomial 0xedb88320, so the result is
+ * the register crc32Tables() would reach over the same bytes.
+ */
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t
+crc32Clmul(std::uint32_t c, const unsigned char *p, std::size_t size)
+{
+    // x^(512±32) mod P (fold by four lanes), x^(128±32) mod P (fold by
+    // one), x^64 mod P (128 -> 64 bits), then P itself and the Barrett
+    // quotient floor(x^64 / P), all bit-reflected.
+    const __m128i k_fold4 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+    const __m128i k_fold1 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+    const __m128i k_64 = _mm_set_epi64x(0, 0x163cd6124);
+    const __m128i k_barrett = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+    const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+    auto load = [](const unsigned char *at) {
+        return _mm_loadu_si128(reinterpret_cast<const __m128i *>(at));
+    };
+
+    __m128i x0 = _mm_xor_si128(load(p),
+                               _mm_cvtsi32_si128(static_cast<int>(c)));
+    __m128i x1 = load(p + 16);
+    __m128i x2 = load(p + 32);
+    __m128i x3 = load(p + 48);
+    for (p += 64, size -= 64; size >= 64; p += 64, size -= 64) {
+        x0 = _mm_xor_si128(foldLane(x0, k_fold4), load(p));
+        x1 = _mm_xor_si128(foldLane(x1, k_fold4), load(p + 16));
+        x2 = _mm_xor_si128(foldLane(x2, k_fold4), load(p + 32));
+        x3 = _mm_xor_si128(foldLane(x3, k_fold4), load(p + 48));
+    }
+    __m128i x = _mm_xor_si128(foldLane(x0, k_fold1), x1);
+    x = _mm_xor_si128(foldLane(x, k_fold1), x2);
+    x = _mm_xor_si128(foldLane(x, k_fold1), x3);
+
+    // 128 -> 96 -> 64 bits.
+    x = _mm_xor_si128(_mm_srli_si128(x, 8),
+                      _mm_clmulepi64_si128(x, k_fold1, 0x10));
+    x = _mm_xor_si128(
+        _mm_srli_si128(x, 4),
+        _mm_clmulepi64_si128(_mm_and_si128(x, low32), k_64, 0x00));
+
+    // Barrett: q = (x mod x^32) * u, r = x ^ (q mod x^32) * P.
+    __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x, low32), k_barrett,
+                                     0x10);
+    q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), k_barrett, 0x00);
+    return static_cast<std::uint32_t>(
+        _mm_extract_epi32(_mm_xor_si128(x, q), 1));
+}
+
+#endif // PVAR_CRC32_CLMUL
+
 /** pread() exactly @p size bytes; false on EOF, short read, or error. */
 bool
 preadAll(int fd, void *buf, std::size_t size, std::int64_t offset)
@@ -137,27 +233,45 @@ writeAll(int fd, const void *buf, std::size_t size)
 
 } // namespace
 
+bool
+crc32UsesClmul()
+{
+#if PVAR_CRC32_CLMUL
+    // Decided once, on the first CRC long enough to use the kernel, so
+    // process start and the open of an empty log pay nothing for it.
+    static const bool supported = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("pclmul") &&
+               __builtin_cpu_supports("sse4.1");
+    }();
+    return supported;
+#else
+    return false;
+#endif
+}
+
+std::uint32_t
+crc32Portable(const void *data, std::size_t size)
+{
+    return crc32Tables(0xffffffffu, static_cast<const unsigned char *>(data),
+                       size) ^
+           0xffffffffu;
+}
+
 std::uint32_t
 crc32(const void *data, std::size_t size)
 {
-    // Slice-by-8: eight input bytes per step through kCrcTables, then
-    // the bytewise loop over table 0 for the tail. The result equals
-    // the bytewise CRC of the whole buffer, so existing logs verify
-    // unchanged.
-    const auto &t = kCrcTables;
-    std::uint32_t c = 0xffffffffu;
     const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (; size >= 8; p += 8, size -= 8) {
-        std::uint32_t lo = c ^ loadLe32(p);
-        std::uint32_t hi = loadLe32(p + 4);
-        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
-            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
-            t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
-            t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    std::uint32_t c = 0xffffffffu;
+#if PVAR_CRC32_CLMUL
+    if (size >= 64 && crc32UsesClmul()) {
+        std::size_t blocks = size & ~std::size_t{63};
+        c = crc32Clmul(c, p, blocks);
+        p += blocks;
+        size -= blocks;
     }
-    for (; size > 0; ++p, --size)
-        c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
-    return c ^ 0xffffffffu;
+#endif
+    return crc32Tables(c, p, size) ^ 0xffffffffu;
 }
 
 std::size_t
@@ -205,6 +319,7 @@ RecordLog::recover(const RecordVisitor &on_record)
         // if the first append had failed. This matters most during
         // compaction, whose fresh sibling log must never fatal the
         // process.
+        _dirty = true;
         if (!writeAll(_fd, kMagic, kHeaderBytes)) {
             warn("record log: cannot initialize '%s': %s — store "
                  "degrades to memory-only",
@@ -213,7 +328,7 @@ RecordLog::recover(const RecordVisitor &on_record)
             _end = 0;
             return;
         }
-        ::fsync(_fd);
+        _dirty = ::fsync(_fd) != 0;
         _end = static_cast<std::int64_t>(kHeaderBytes);
         _stats.bytes = kHeaderBytes;
         return;
@@ -233,6 +348,7 @@ RecordLog::recover(const RecordVisitor &on_record)
     }
     if (size < static_cast<std::int64_t>(kHeaderBytes)) {
         _stats.truncatedBytes = static_cast<std::uint64_t>(size);
+        _dirty = true;
         if (::ftruncate(_fd, 0) != 0 ||
             ::lseek(_fd, 0, SEEK_SET) < 0 ||
             !writeAll(_fd, kMagic, kHeaderBytes)) {
@@ -243,7 +359,7 @@ RecordLog::recover(const RecordVisitor &on_record)
             _end = 0;
             return;
         }
-        ::fsync(_fd);
+        _dirty = ::fsync(_fd) != 0;
         _end = static_cast<std::int64_t>(kHeaderBytes);
         _stats.bytes = kHeaderBytes;
         return;
@@ -298,11 +414,12 @@ RecordLog::recover(const RecordVisitor &on_record)
              "after %llu valid records",
              _path.c_str(), static_cast<long long>(size - pos),
              static_cast<unsigned long long>(_stats.records));
+        _dirty = true;
         if (::ftruncate(_fd, pos) != 0) {
             fatal("record log: cannot truncate '%s': %s",
                   _path.c_str(), std::strerror(errno));
         }
-        ::fsync(_fd);
+        _dirty = ::fsync(_fd) != 0;
     }
     _end = pos;
     _stats.bytes = static_cast<std::uint64_t>(pos);
@@ -384,6 +501,9 @@ RecordLog::append(std::string_view key, std::string_view value)
     storeLe32(buf.data() + 4,
               crc32(buf.data() + kPrefixBytes, payload_size));
 
+    // A torn write changes the file too, so the log is dirty before
+    // the write is known to have succeeded.
+    _dirty = true;
     if (::lseek(_fd, _end, SEEK_SET) < 0 ||
         !writeAll(_fd, buf.data(), buf.size())) {
         ++_stats.failedAppends;
@@ -477,16 +597,20 @@ void
 RecordLog::sync()
 {
     // _end is tracked in memory rather than re-fetched: recovery
-    // established it and append() is the only writer.
+    // established it and append() is the only writer. A clean log
+    // skips the syscall (a warm pass appends nothing, yet its owner
+    // still syncs) but not the fault site, so planned store.fsync
+    // faults fire at the same calls either way.
     if (_fd < 0)
         return;
     int rc;
     do {
-        rc = faultFsyncStore(_fd);
+        rc = faultFsyncStore(_fd, _dirty);
     } while (rc < 0 && errno == EINTR);
     if (rc == 0) {
         ++_stats.syncs;
         _unsynced = 0;
+        _dirty = false;
         return;
     }
     // The durability point was NOT reached: appends since the last

@@ -41,8 +41,23 @@
 namespace pvar
 {
 
-/** IEEE 802.3 CRC-32 (the zlib/PNG polynomial) of @p size bytes. */
+/**
+ * IEEE 802.3 CRC-32 (the zlib/PNG polynomial) of @p size bytes.
+ *
+ * On x86-64 CPUs with PCLMULQDQ and SSE4.1 the whole 64-byte blocks go
+ * through a carry-less-multiply folding kernel (≈10× the table path),
+ * and the slice-by-8 tables take the tail below 64 bytes; elsewhere
+ * the tables take everything. The CPU is probed once, on the first
+ * call of at least 64 bytes. Both paths compute the same function, so
+ * a log written on one host verifies on any other.
+ */
 std::uint32_t crc32(const void *data, std::size_t size);
+
+/** crc32() through the slice-by-8 tables alone, whatever the CPU. */
+std::uint32_t crc32Portable(const void *data, std::size_t size);
+
+/** True when crc32() uses the carry-less-multiply kernel here. */
+bool crc32UsesClmul();
 
 /**
  * Called with a valid record's file offset, key and value. The views
@@ -128,7 +143,9 @@ class RecordLog
      * Flush batched appends to disk now (fsync). A failed fsync is a
      * *missed durability point*, not a success: it is counted, the log
      * is marked degraded, and the unsynced window stays open so a
-     * later sync can retry.
+     * later sync can retry. When nothing was written since the last
+     * good fsync the syscall is skipped, but the store.fsync fault
+     * site and the counters see the call exactly as a real one.
      */
     void sync();
 
@@ -151,6 +168,8 @@ class RecordLog
     int _fd = -1;
     int _syncEvery;
     int _unsynced = 0;
+    /// Bytes may have reached the file since the last good fsync.
+    bool _dirty = false;
     std::int64_t _end = 0; ///< append position (file size)
     bool _degraded = false;
     RecordLogStats _stats;

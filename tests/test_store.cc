@@ -19,10 +19,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cfloat>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -237,6 +240,88 @@ TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
     }
 }
 
+namespace
+{
+
+/** @p size xorshift bytes, the same for every call with one seed. */
+std::vector<unsigned char>
+noiseBytes(std::size_t size, std::uint32_t seed)
+{
+    std::vector<unsigned char> buf(size);
+    std::uint32_t x = seed;
+    for (unsigned char &b : buf) {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        b = static_cast<unsigned char>(x);
+    }
+    return buf;
+}
+
+/**
+ * The lengths the long-input CRC tests check: 64 B blocks from one to
+ * past a stored experiment, each with every tail length below 64
+ * (the part the table path takes after the kernel), the stored
+ * experiment's 133,622 B itself, and pseudo-random lengths up to
+ * 256 KiB.
+ */
+std::vector<std::size_t>
+longCrcLengths()
+{
+    std::vector<std::size_t> lengths = {133622, 256u * 1024};
+    for (std::size_t blocks : {1u, 2u, 5u, 17u, 2087u}) {
+        for (std::size_t tail = 0; tail < 64; ++tail)
+            lengths.push_back(blocks * 64 + tail);
+    }
+    std::uint32_t x = 88172645u;
+    for (int i = 0; i < 48; ++i) {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        lengths.push_back(x % (256u * 1024 + 1));
+    }
+    return lengths;
+}
+
+} // namespace
+
+TEST(Crc32, MatchesBytewiseReferenceOnLongInputs)
+{
+    constexpr std::size_t kMaxLen = 256u * 1024;
+    std::vector<unsigned char> buf = noiseBytes(kMaxLen + 16, 362436069u);
+    for (std::size_t len : longCrcLengths()) {
+        for (std::size_t align : {0u, 3u, 8u, 13u}) {
+            const unsigned char *p = buf.data() + align;
+            ASSERT_EQ(crc32(p, len), referenceCrc32(p, len))
+                << "length " << len << " at offset " << align;
+        }
+    }
+}
+
+TEST(Crc32, KernelMatchesTablePath)
+{
+    if (!crc32UsesClmul())
+        GTEST_SKIP() << "no PCLMULQDQ/SSE4.1: crc32() is the table path";
+    std::vector<unsigned char> buf = noiseBytes(256u * 1024 + 16, 521288629u);
+    for (std::size_t align = 0; align < 16; ++align) {
+        const unsigned char *p = buf.data() + align;
+        for (std::size_t len = 0; len <= 1024; ++len)
+            ASSERT_EQ(crc32(p, len), crc32Portable(p, len))
+                << "length " << len << " at offset " << align;
+    }
+    for (std::size_t len : longCrcLengths())
+        ASSERT_EQ(crc32(buf.data(), len), crc32Portable(buf.data(), len))
+            << "length " << len;
+    // All-zero and all-one blocks, where the folded lanes are sparse.
+    for (unsigned char fill : {0x00, 0xff}) {
+        std::vector<unsigned char> flat(4096, fill);
+        for (std::size_t len : {64u, 128u, 1000u, 4096u})
+            EXPECT_EQ(crc32(flat.data(), len),
+                      referenceCrc32(flat.data(), len))
+                << "fill " << int(fill) << " length " << len;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Binary codec.
 // ---------------------------------------------------------------------
@@ -307,6 +392,176 @@ TEST(StoreCodec, DecodingIsTotal)
     huge[0] = 1;
     huge[1] = huge[2] = huge[3] = 0;
     EXPECT_FALSE(decodeExperimentResult(huge, scratch));
+}
+
+namespace
+{
+
+/**
+ * Samples whose bits no arithmetic round-trip would keep: both zeros,
+ * the subnormal extremes, NaNs with payloads (quiet, signalling,
+ * negative), both infinities and the finite extremes, at the extreme
+ * and sign-crossing times.
+ */
+std::vector<Sample>
+edgeSamples()
+{
+    auto bits = [](std::uint64_t b) { return std::bit_cast<double>(b); };
+    const std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    const std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    const double kInf = std::numeric_limits<double>::infinity();
+    return {
+        {Time::usec(kMin), 0.0},
+        {Time::usec(kMax), -0.0},
+        {Time::usec(-1), std::numeric_limits<double>::denorm_min()},
+        {Time::usec(0), bits(0x000fffffffffffffull)}, // largest subnormal
+        {Time::usec(1), -std::numeric_limits<double>::denorm_min()},
+        {Time::usec(kMin), bits(0x7ff8000000000001ull)}, // quiet, payload
+        {Time::usec(kMax), bits(0x7ff0000000000001ull)}, // signalling
+        {Time::usec(7), bits(0xfff800000000beefull)},    // negative NaN
+        {Time::usec(kMin + 1), kInf},
+        {Time::usec(kMax - 1), -kInf},
+        {Time::usec(42), DBL_MAX},
+        {Time::usec(-42), -DBL_MAX},
+        {Time::usec(9), DBL_MIN},
+    };
+}
+
+/** True when @p a and @p b hold the same times and value bits. */
+bool
+sameSampleBits(const std::vector<Sample> &a, const std::vector<Sample> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (a[i].when != b[i].when ||
+            std::bit_cast<std::uint64_t>(a[i].value) !=
+                std::bit_cast<std::uint64_t>(b[i].value))
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
+TEST(SampleBlock, BulkWriterMatchesPerFieldWriter)
+{
+    // The block bytes are the per-field little-endian encoding every
+    // store and live point was written with.
+    std::vector<Sample> samples = edgeSamples();
+    ByteWriter scalar;
+    scalar.u64(samples.size());
+    for (const Sample &s : samples) {
+        scalar.i64(s.when.toUsec());
+        scalar.f64(s.value);
+    }
+    ByteWriter bulk;
+    writeSampleBlock(bulk, samples);
+    EXPECT_EQ(bulk.take(), scalar.take());
+
+    // One sample pinned to its bytes.
+    ByteWriter one;
+    writeSampleBlock(one, {Sample{Time::usec(-2), -0.0}});
+    EXPECT_EQ(one.take(),
+              std::string("\x01\0\0\0\0\0\0\0"
+                          "\xfe\xff\xff\xff\xff\xff\xff\xff"
+                          "\0\0\0\0\0\0\0\x80",
+                          24));
+}
+
+TEST(SampleBlock, EdgeValuesRoundTripBitExactly)
+{
+    std::vector<Sample> samples = edgeSamples();
+
+    // Store codec.
+    ExperimentResult original = makeResult(1);
+    auto trace = std::make_shared<Trace>(*original.trace);
+    for (const Sample &s : samples)
+        trace->record("edge", s.when, s.value);
+    original.trace = std::move(trace);
+    std::string bytes = encodeExperimentResult(original);
+    ExperimentResult decoded;
+    ASSERT_TRUE(decodeExperimentResult(bytes, decoded));
+    EXPECT_TRUE(sameSampleBits(decoded.trace->channel("edge").samples(),
+                               samples));
+    EXPECT_EQ(encodeExperimentResult(decoded), bytes);
+
+    // Live-point state.
+    TraceChannel ch("edge");
+    for (const Sample &s : samples)
+        ch.record(s.when, s.value);
+    ByteWriter w;
+    ch.saveState(w);
+    std::string state = w.take();
+    TraceChannel restored("edge");
+    restored.record(Time::usec(5), 1.0); // replaced by the load
+    ByteReader r(state);
+    ASSERT_TRUE(restored.loadState(r));
+    EXPECT_TRUE(r.done());
+    EXPECT_TRUE(sameSampleBits(restored.samples(), samples));
+}
+
+TEST(SampleBlock, CodecRejectsTheLastChannelCutAnywhere)
+{
+    // Drop the final `cut` sample bytes of the last channel but keep
+    // the supervision trailer after it: the bytes still end where a
+    // record ends, and the decoder must notice the block ran short.
+    ExperimentResult original = makeResult(2);
+    auto trace = std::make_shared<Trace>(*original.trace);
+    for (const Sample &s : edgeSamples())
+        trace->record("zz_last", s.when, s.value);
+    original.trace = std::move(trace);
+    ASSERT_EQ(original.trace->channelNames().back(), "zz_last");
+    std::string bytes = encodeExperimentResult(original);
+    constexpr std::size_t kTrailer = 1 + 4 + 1;
+    const std::size_t block =
+        original.trace->channel("zz_last").size() * kSampleWireBytes;
+    const std::size_t block_end = bytes.size() - kTrailer;
+    ExperimentResult scratch;
+    ASSERT_TRUE(decodeExperimentResult(bytes, scratch));
+    for (std::size_t cut = 1; cut <= block; ++cut) {
+        std::string cut_bytes = bytes;
+        cut_bytes.erase(block_end - cut, cut);
+        EXPECT_FALSE(decodeExperimentResult(cut_bytes, scratch))
+            << "block cut by " << cut << " bytes decoded";
+        // And every truncation inside the block, trailer and all.
+        EXPECT_FALSE(decodeExperimentResult(
+            std::string_view(bytes).substr(0, block_end - cut), scratch))
+            << "record truncated " << cut << " bytes into the block";
+    }
+
+    // Live-point state: every truncation of a channel's state fails
+    // and leaves the channel's samples as they were.
+    TraceChannel ch("x");
+    for (const Sample &s : edgeSamples())
+        ch.record(s.when, s.value);
+    ByteWriter w;
+    ch.saveState(w);
+    std::string state = w.take();
+    for (std::size_t len = 0; len < state.size(); ++len) {
+        TraceChannel target("x");
+        target.record(Time::usec(3), 2.5);
+        ByteReader r(std::string_view(state).substr(0, len));
+        EXPECT_FALSE(target.loadState(r)) << "prefix of " << len;
+        ASSERT_EQ(target.size(), 1u);
+        EXPECT_EQ(target.last(), 2.5);
+    }
+}
+
+TEST(SampleBlock, CountPastTheCallersBoundFails)
+{
+    // A count past the caller's bound fails even with every byte of
+    // the block present; at the bound the same bytes read.
+    ByteWriter w;
+    w.u64(1001);
+    std::string bytes = w.take() + std::string(1001 * kSampleWireBytes, '\0');
+    std::string_view block;
+    ByteReader r_over(bytes);
+    EXPECT_FALSE(readSampleBlock(r_over, 1000, block));
+    ByteReader r_at(bytes);
+    ASSERT_TRUE(readSampleBlock(r_at, 1001, block));
+    EXPECT_EQ(block.size(), 1001 * kSampleWireBytes);
+    EXPECT_TRUE(r_at.done());
 }
 
 // ---------------------------------------------------------------------
@@ -1343,6 +1598,28 @@ TEST(ExperimentStore, FailedFsyncCountsAndDegrades)
     EXPECT_GE(s.failedSyncs, 1u);
     EXPECT_TRUE(s.degraded);
     EXPECT_TRUE(store.degraded());
+}
+
+TEST(RecordLog, CleanSyncStillConsultsTheFsyncFaultSite)
+{
+    // A sync with nothing written since the last good one skips the
+    // syscall, but counts and faults exactly as a real one: a planned
+    // store.fsync fault on the clean sync fires and degrades the log.
+    QuietLog quiet;
+    std::string path = freshDir("clean_sync") + "/test.log";
+    RecordLog log(path, /*sync_every=*/0);
+    ASSERT_GE(log.append("k", "v"), 0);
+    log.sync(); // dirty: a real fsync
+    log.sync(); // clean
+    EXPECT_EQ(log.stats().syncs, 2u);
+    EXPECT_EQ(log.stats().failedSyncs, 0u);
+    EXPECT_FALSE(log.degraded());
+
+    StorePlanGuard guard{storeFaultPlan(FaultSite::StoreFsync)};
+    log.sync(); // clean, and planned to fail
+    EXPECT_EQ(log.stats().syncs, 2u);
+    EXPECT_EQ(log.stats().failedSyncs, 1u);
+    EXPECT_TRUE(log.degraded());
 }
 
 TEST(DurableCache, DegradedStoreStillServesFromMemory)
