@@ -259,14 +259,9 @@ runExperimentTasks(const std::vector<ExperimentTask> &tasks,
     std::vector<std::vector<std::size_t>> cohorts = planCohorts(
         tasks,
         static_cast<std::size_t>(resolveBatchSize(cfg.batch, cfg.solver)));
-    // Spread: a warm study's cohorts are store hits that decode
-    // records the results keep (see parallelFor).
-    parallelFor(
-        cohorts.size(), cfg.jobs,
-        [&](std::size_t c) {
-            superviseCohort(tasks, cohorts[c], cfg, results);
-        },
-        /*spread=*/true);
+    parallelFor(cohorts.size(), cfg.jobs, [&](std::size_t c) {
+        superviseCohort(tasks, cohorts[c], cfg, results);
+    });
     // A finished study is a durability point: results a client is
     // about to see must survive a crash of the process.
     if (cfg.cache)

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <memory>
 
@@ -96,31 +95,12 @@ namespace
  */
 struct ForCall
 {
-    using Clock = std::chrono::steady_clock;
-
-    /**
-     * A spread call's lanes wait for helpers only once the call has
-     * run this long: a fan-out of memory-cache hits is over by then,
-     * and a store-backed warm study (about a millisecond) is not.
-     */
-    static constexpr std::chrono::microseconds kSpreadAfter{250};
-    /** ... and at most until this long after the call started. */
-    static constexpr std::chrono::milliseconds kJoinWait{10};
-
     const std::function<void(std::size_t)> *fn;
     std::size_t n;
     std::atomic<std::size_t> next{0};
 
-    /// Spread: lanes past their share wait for the rest to join.
-    std::atomic<bool> spreading{false};
-    std::size_t share = 0; ///< ceil(n / lanes)
-    std::size_t lanes = 1;
-    Clock::time_point start;
-
     std::mutex mutex;
     std::condition_variable settled;
-    std::condition_variable joinedAll;
-    std::size_t joined = 1; ///< lanes that entered drain(), the caller's too
     int active = 0;      ///< helpers inside drain()
     bool closed = false; ///< the caller stopped waiting for new helpers
     std::exception_ptr firstError;
@@ -131,24 +111,6 @@ struct ForCall
     }
 
     /**
-     * A spreading lane that has claimed its share, once the call has
-     * run for kSpreadAfter, waits for every lane to join, for the items
-     * to run out, or for kJoinWait, whichever comes first; after that,
-     * lanes claim freely.
-     */
-    void
-    awaitLanes(std::size_t claimed)
-    {
-        if (claimed < share || Clock::now() - start < kSpreadAfter)
-            return;
-        std::unique_lock<std::mutex> lock(mutex);
-        joinedAll.wait_until(lock, start + kJoinWait, [&] {
-            return joined == lanes || next.load() >= n;
-        });
-        spreading.store(false);
-    }
-
-    /**
      * Claim and run indices until none are left. On failure the first
      * exception is kept and the counter is pushed past n so the
      * remaining indices are skipped.
@@ -156,18 +118,10 @@ struct ForCall
     void
     drain()
     {
-        for (std::size_t claimed = 0;; ++claimed) {
-            if (spreading.load(std::memory_order_relaxed))
-                awaitLanes(claimed);
+        for (;;) {
             std::size_t i = next.fetch_add(1);
-            if (i >= n) {
-                // Lanes waiting for the others to join stop waiting.
-                if (spreading.load()) {
-                    std::lock_guard<std::mutex> lock(mutex);
-                    joinedAll.notify_all();
-                }
+            if (i >= n)
                 return;
-            }
             try {
                 (*fn)(i);
             } catch (...) {
@@ -189,8 +143,6 @@ struct ForCall
             if (closed)
                 return;
             ++active;
-            if (++joined == lanes)
-                joinedAll.notify_all();
         }
         drain();
         std::lock_guard<std::mutex> lock(mutex);
@@ -210,8 +162,7 @@ ThreadPool::parallelFor(std::size_t n,
 
 void
 ThreadPool::parallelFor(std::size_t n, std::size_t lanes,
-                        const std::function<void(std::size_t)> &fn,
-                        bool spread)
+                        const std::function<void(std::size_t)> &fn)
 {
     if (n == 0)
         return;
@@ -221,12 +172,6 @@ ThreadPool::parallelFor(std::size_t n, std::size_t lanes,
     if (helpers > 0) {
         {
             std::lock_guard<std::mutex> lock(_mutex);
-            if (spread) {
-                call->lanes = helpers + 1;
-                call->share = (n + helpers) / (helpers + 1);
-                call->start = ForCall::Clock::now();
-                call->spreading.store(true);
-            }
             for (std::size_t h = 0; h < helpers; ++h)
                 _queue.emplace_back([call] { call->help(); });
         }
@@ -335,7 +280,7 @@ class SharedPoolLease
 
 void
 parallelFor(std::size_t n, int jobs,
-            const std::function<void(std::size_t)> &fn, bool spread)
+            const std::function<void(std::size_t)> &fn)
 {
     std::size_t lanes = std::min<std::size_t>(
         n, static_cast<std::size_t>(
@@ -347,7 +292,7 @@ parallelFor(std::size_t n, int jobs,
         return;
     }
     SharedPoolLease lease;
-    lease.pool().parallelFor(n, lanes, fn, spread);
+    lease.pool().parallelFor(n, lanes, fn);
 }
 
 } // namespace pvar

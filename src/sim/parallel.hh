@@ -109,13 +109,9 @@ class ThreadPool
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &fn);
 
-    /**
-     * parallelFor() on at most @p lanes lanes (>= 1). With @p spread,
-     * see the free parallelFor().
-     */
+    /** parallelFor() on at most @p lanes lanes (>= 1). */
     void parallelFor(std::size_t n, std::size_t lanes,
-                     const std::function<void(std::size_t)> &fn,
-                     bool spread = false);
+                     const std::function<void(std::size_t)> &fn);
 
   private:
     std::vector<std::thread> _threads;
@@ -139,19 +135,9 @@ class ThreadPool
  *
  * Calls from many threads at once share the pool safely. Calling
  * fork() from inside a parallelFor task is not supported.
- *
- * @p spread is for items cheap enough that one lane can finish them
- * all before a helper is scheduled. A lane that has run for 250 µs and
- * claimed its even share of the items then waits for the other lanes
- * to join before it claims more, at most until 10 ms after the call
- * started. Items that allocate memory the caller keeps, such as
- * decoded store records, then land in every lane's malloc arena, not
- * all in one arena that keeps the pages after they are freed. Results
- * are the same either way; only which lane runs an item changes.
  */
 void parallelFor(std::size_t n, int jobs,
-                 const std::function<void(std::size_t)> &fn,
-                 bool spread = false);
+                 const std::function<void(std::size_t)> &fn);
 
 } // namespace pvar
 

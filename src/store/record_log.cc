@@ -407,6 +407,10 @@ RecordLog::recover(const RecordVisitor &on_record)
     }
     pos = offsets[valid];
     _stats.records = valid;
+    // A writer killed before its batched fsync leaves records that
+    // only the page cache holds, and this session may serve them: the
+    // first sync must make them durable.
+    _dirty = valid > 0;
 
     if (pos < size) {
         _stats.truncatedBytes = static_cast<std::uint64_t>(size - pos);

@@ -145,9 +145,15 @@ class RecordLog
      * is marked degraded, and the unsynced window stays open so a
      * later sync can retry. When nothing was written since the last
      * good fsync the syscall is skipped, but the store.fsync fault
-     * site and the counters see the call exactly as a real one.
+     * site and the counters see the call exactly as a real one. A log
+     * opened on records is dirty until its first good sync: the
+     * writer before may have died before its own fsync.
      */
     void sync();
+
+    /** True when bytes may have reached the file since the last good
+     *  fsync, so the next sync() issues the syscall. */
+    bool dirty() const { return _dirty; }
 
     /**
      * True once any append or fsync has failed this session: data may

@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -193,51 +192,6 @@ TEST(ParallelFor, ParallelSumMatchesSerial)
     parallelFor(n, 1, [&](std::size_t i) { serial[i] = f(i); });
     parallelFor(n, 8, [&](std::size_t i) { parallel[i] = f(i); });
     EXPECT_EQ(serial, parallel); // bit-identical, not just close
-}
-
-TEST(ParallelFor, SpreadRunsEveryIndexOnce)
-{
-    ThreadPool pool(3);
-    for (bool spread : {false, true}) {
-        std::vector<std::atomic<int>> runs(100);
-        pool.parallelFor(
-            runs.size(), 4,
-            [&](std::size_t i) {
-                std::this_thread::sleep_for(std::chrono::microseconds(20));
-                ++runs[i];
-            },
-            spread);
-        for (std::size_t i = 0; i < runs.size(); ++i)
-            EXPECT_EQ(runs[i].load(), 1) << "index " << i;
-    }
-}
-
-TEST(ParallelFor, SpreadWaitsForHelpersOnlyBriefly)
-{
-    // The only worker is held, so the helper lane never joins: the
-    // caller waits at most until its join deadline, then runs every
-    // index itself.
-    ThreadPool pool(1);
-    std::promise<void> release;
-    std::shared_future<void> held = release.get_future().share();
-    std::future<void> blocker = pool.submit([held] { held.wait(); });
-
-    std::set<std::thread::id> lanes;
-    auto t0 = std::chrono::steady_clock::now();
-    pool.parallelFor(
-        16, 2,
-        [&](std::size_t) {
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
-            lanes.insert(std::this_thread::get_id());
-        },
-        true);
-    double ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-    release.set_value();
-    blocker.get();
-    EXPECT_EQ(lanes, std::set<std::thread::id>{std::this_thread::get_id()});
-    EXPECT_LT(ms, 1000.0); // 16 x 100 us of work plus a 10 ms wait
 }
 
 // ---------------------------------------------------------------------

@@ -1622,6 +1622,46 @@ TEST(RecordLog, CleanSyncStillConsultsTheFsyncFaultSite)
     EXPECT_TRUE(log.degraded());
 }
 
+TEST(RecordLog, ReopenedLogIsDirtyUntilItsFirstGoodSync)
+{
+    // A writer that dies before its batched fsync leaves records only
+    // the page cache holds. The next session serves them, so its first
+    // sync must be a real fsync; later clean syncs skip it.
+    QuietLog quiet;
+    std::string path = freshDir("reopen_dirty") + "/test.log";
+    {
+        RecordLog empty(path, /*sync_every=*/0);
+        EXPECT_FALSE(empty.dirty()); // the fresh header was synced
+    }
+    {
+        RecordLog header_only(path, /*sync_every=*/0);
+        EXPECT_FALSE(header_only.dirty());
+        ASSERT_GE(header_only.append("k1", "v1"), 0);
+        ASSERT_GE(header_only.append("k2", "v2"), 0);
+        EXPECT_TRUE(header_only.dirty());
+        // Destroyed without a sync, as a killed writer would leave it.
+    }
+
+    RecordLog log(path, /*sync_every=*/0);
+    EXPECT_EQ(log.stats().records, 2u);
+    EXPECT_TRUE(log.dirty());
+    {
+        // The first sync fails: the records are still not durable.
+        StorePlanGuard guard{storeFaultPlan(FaultSite::StoreFsync)};
+        log.sync();
+    }
+    EXPECT_EQ(log.stats().failedSyncs, 1u);
+    EXPECT_TRUE(log.degraded());
+    EXPECT_TRUE(log.dirty());
+
+    log.sync(); // a real fsync
+    EXPECT_EQ(log.stats().syncs, 1u);
+    EXPECT_FALSE(log.dirty());
+    log.sync(); // clean
+    EXPECT_EQ(log.stats().syncs, 2u);
+    EXPECT_FALSE(log.dirty());
+}
+
 TEST(DurableCache, DegradedStoreStillServesFromMemory)
 {
     QuietLog quiet;
