@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared helpers for the figure/table regeneration binaries.
+ * The check every paper case prints its claims through.
  *
- * Every bench binary prints:
+ * Every case of the paper driver prints:
  *   - a header naming the paper artifact and its claim,
  *   - the regenerated rows/series from the simulation,
  *   - a short SHAPE CHECK section comparing against the paper.
@@ -14,23 +14,18 @@
 #include <cstdio>
 #include <string>
 
-#include "sim/logging.hh"
+#include <gtest/gtest.h>
 
 namespace pvar
 {
 
-/** Silence library chatter for clean bench output. */
+/** Print a pass/fail claim line; a miss also fails the running test. */
 inline void
-benchQuiet()
-{
-    setLogLevel(LogLevel::Quiet);
-}
-
-/** Print a pass/fail shape-check line. */
-inline void
-shapeCheck(bool ok, const std::string &what)
+paperCheck(bool ok, const std::string &what)
 {
     std::printf("  [%s] %s\n", ok ? " ok " : "MISS", what.c_str());
+    if (!ok)
+        ADD_FAILURE() << "paper claim missed: " << what;
 }
 
 } // namespace pvar

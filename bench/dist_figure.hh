@@ -41,15 +41,17 @@ struct UnitDistributions
  * @param freq_channel trace channel of the (big) cluster frequency.
  * @param freq_lo/freq_hi histogram range (MHz).
  * @param hot_threshold "time at temperature" threshold (C).
+ * @param solver thermal solver the experiment runs on.
  */
 inline UnitDistributions
 collectDistributions(Device &device, const std::string &freq_channel,
                      double freq_lo, double freq_hi,
-                     double hot_threshold)
+                     double hot_threshold, SolverKind solver)
 {
     ExperimentConfig cfg;
     cfg.mode = WorkloadMode::Unconstrained;
     cfg.iterations = 2;
+    cfg.solver = solver;
     ExperimentResult r = runExperiment(device, cfg);
 
     ThrottleAnalysisConfig ta;

@@ -3,7 +3,7 @@
  * Shared implementation for the per-SoC variation figures
  * (paper Figs 6-9): run the study protocol on one SoC's fleet and
  * print the normalized performance and energy panels with shape
- * checks against the paper's numbers.
+ * checks against the paper's numbers and the calibration bands.
  */
 
 #ifndef PVAR_BENCH_SOC_FIGURE_HH
@@ -30,13 +30,39 @@ struct SocFigureSpec
     /** Acceptance half-width around the paper number (points). */
     double perfTolerance = 5.0;
     double energyTolerance = 6.0;
+    /** Calibration bands [low, high] the variations must land in (%). */
+    double perfBand[2] = {};
+    double energyBand[2] = {};
 };
 
-/** Run the protocol and render panels (a) performance, (b) energy. */
-inline int
-runSocFigure(const SocFigureSpec &spec)
+/** Check that @p value lies in the calibration band @p band. */
+inline void
+bandCheck(double value, const double (&band)[2], const std::string &what)
 {
-    benchQuiet();
+    paperCheck(value >= band[0] && value <= band[1],
+               what + " inside the " + fmtDouble(band[0], 0) + "-" +
+                   fmtPercent(band[1], 0) + " calibration band");
+}
+
+/** The unit named @p id in @p s, or nullptr. */
+inline const UnitOutcome *
+findUnit(const SocStudy &s, const std::string &id)
+{
+    for (const auto &u : s.units) {
+        if (u.unitId == id)
+            return &u;
+    }
+    return nullptr;
+}
+
+/**
+ * Run the protocol on @p solver, render panels (a) performance and
+ * (b) energy, check them, and return the study for the figure's own
+ * unit-level checks.
+ */
+inline SocStudy
+runSocFigure(const SocFigureSpec &spec, SolverKind solver)
+{
     std::printf("%s",
                 figureHeader(
                     spec.figureId + ": Process variations in " +
@@ -49,6 +75,7 @@ runSocFigure(const SocFigureSpec &spec)
 
     StudyConfig cfg;
     cfg.iterations = 5; // the paper's minimum
+    cfg.solver = solver;
     SocStudy s = runSocStudy(spec.socName, cfg);
 
     Table t({"Unit", "Score (iter)", "RSD", "Fixed energy (J)", "RSD",
@@ -79,20 +106,24 @@ runSocFigure(const SocFigureSpec &spec)
                 fmtPercent(s.fixedPerfSpreadPercent, 2).c_str());
 
     std::printf("\nSHAPE CHECK vs paper:\n");
-    shapeCheck(std::abs(s.perfVariationPercent - spec.paperPerfPercent) <=
+    paperCheck(std::abs(s.perfVariationPercent - spec.paperPerfPercent) <=
                    spec.perfTolerance,
                "performance variation " +
                    fmtPercent(s.perfVariationPercent) + " vs paper " +
                    fmtPercent(spec.paperPerfPercent, 0));
-    shapeCheck(std::abs(s.energyVariationPercent -
+    paperCheck(std::abs(s.energyVariationPercent -
                         spec.paperEnergyPercent) <= spec.energyTolerance,
                "energy variation " +
                    fmtPercent(s.energyVariationPercent) + " vs paper " +
                    fmtPercent(spec.paperEnergyPercent, 0));
-    shapeCheck(s.fixedPerfSpreadPercent <= 2.0,
+    paperCheck(s.fixedPerfSpreadPercent <= 2.0,
                "fixed-frequency performance spread stays negligible "
                "(setup sanity, paper: <=1.3-2.6% RSD)");
-    return 0;
+    bandCheck(s.perfVariationPercent, spec.perfBand,
+              "performance variation");
+    bandCheck(s.energyVariationPercent, spec.energyBand,
+              "energy variation");
+    return s;
 }
 
 } // namespace pvar

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Full verification sweep: configure, build (warnings as errors), run
-# the test suite and the benchmark's correctness gates, replay a
+# the test suite (which includes every paper case of
+# bench/pvar_paper.cc) and the benchmark's correctness gates, replay a
 # pinned chaos plan (fault injection), soak
 # the service under syscall-level fault injection (pvar_chaos), run
 # the thread-pool/protocol tests under ThreadSanitizer, the
-# service/store tests under AddressSanitizer and the numeric core
-# under UndefinedBehaviorSanitizer, and execute every bench binary's
-# shape checks (bench_speed_gates holds the two timing floors; all
-# other performance numbers come from perf/).
+# service/store tests under AddressSanitizer and the numeric core and
+# the fast-solver paper cases under UndefinedBehaviorSanitizer, and
+# hold the two timing floors (bench_speed_gates; all other
+# performance numbers come from perf/).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -456,12 +457,14 @@ chaos_soak ./build-asan/pvar_chaos 2 2
 # UndefinedBehaviorSanitizer pass over the numeric core: die and
 # cluster power, the supply solve, the device tick on both solvers,
 # the cohort engine and the study protocol, the store (the CRC
-# kernel's intrinsics and the bulk sample codec), then a full
-# fast-solver study. Any report aborts the run.
+# kernel's intrinsics and the bulk sample codec), a full fast-solver
+# study, then the paper cases' fast pass (label `paper`, not `large`).
+# Any report aborts the run.
 cmake -B build-ubsan -G Ninja -DPVAR_SANITIZE=undefined
 cmake --build build-ubsan \
     --target test_die test_cluster_soc test_power test_device \
-        test_fast_solver test_batch test_protocol test_store pvar_study
+        test_fast_solver test_batch test_protocol test_store pvar_study \
+        pvar_paper
 ./build-ubsan/tests/test_die
 ./build-ubsan/tests/test_cluster_soc
 ./build-ubsan/tests/test_power
@@ -471,19 +474,7 @@ cmake --build build-ubsan \
 ./build-ubsan/tests/test_protocol
 ./build-ubsan/tests/test_store
 ./build-ubsan/pvar_study --solver fast --iterations 1 --quiet
+ctest --test-dir build-ubsan --output-on-failure -L paper -LE large
 
-fail=0
-for b in build/bench/bench_*; do
-    [ -f "$b" ] && [ -x "$b" ] || continue
-    name=$(basename "$b")
-    out=$("$b" 2>&1) || { echo "FAILED to run: $name"; fail=1; continue; }
-    misses=$(grep -c 'MISS' <<<"$out" || true)
-    if [ "$misses" != "0" ]; then
-        echo "SHAPE CHECK MISS in $name:"
-        grep 'MISS' <<<"$out"
-        fail=1
-    else
-        echo "ok: $name"
-    fi
-done
-exit $fail
+# The two timing floors; the binary exits non-zero on a MISS.
+./build/bench/bench_speed_gates

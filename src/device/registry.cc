@@ -73,7 +73,7 @@ DeviceRegistry::studySocNames() const
 // (ends up in a low bin number / needs high fused voltage); positive =
 // fast, leaky. Residuals capture leakage spread beyond the speed
 // correlation. Values chosen so the full protocol lands inside the
-// Table II bands; see tests/test_calibration.cc.
+// Table II bands; see the paper cases in bench/pvar_paper.cc.
 
 const DeviceRegistry &
 DeviceRegistry::builtin()
@@ -145,7 +145,7 @@ DeviceRegistry::builtin()
             true,
         });
 
-        // SD-835 extension (not paper data; bench_ext_sd835 corners).
+        // SD-835 extension (not paper data; the ext_sd835 case's corners).
         r.add(RegistryEntry{
             pixel2Spec(),
             {

@@ -90,7 +90,7 @@ class DeviceRegistry
     /**
      * The built-in catalog: the paper's five models (calibrated so the
      * protocol lands inside the Table II bands; see
-     * tests/test_calibration.cc) plus the SD-835 extension.
+     * bench/pvar_paper.cc) plus the SD-835 extension.
      */
     static const DeviceRegistry &builtin();
 

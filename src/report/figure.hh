@@ -1,6 +1,6 @@
 /**
  * @file
- * "Figure" rendering: the bench binaries regenerate each paper figure
+ * "Figure" rendering: the paper cases regenerate each paper figure
  * as labeled data series — normalized bar charts for the comparison
  * figures, CSV series for the time-trace figures — plus a side-by-side
  * paper-reference line so shape agreement is visible at a glance.
