@@ -1,8 +1,10 @@
 /**
  * @file
- * Calibration tests: the simulated study must land inside bands
- * around the paper's Table II numbers. These are the tests that pin
- * the whole model to the publication; see DESIGN.md §4.
+ * Calibration tests: the SD-800 study must land inside bands around
+ * the paper's Table II numbers, and per-unit scores must repeat as
+ * tightly as the methodology claims. The other SoCs' bands live in
+ * the paper cases that run those studies (bench/pvar_paper.cc); see
+ * DESIGN.md §4.
  *
  * Each study here runs the real protocol (3-minute warmups, 5-minute
  * workloads) but only 2 iterations per experiment for test-time
@@ -62,70 +64,6 @@ TEST_F(CalibrationTest, Sd800MatchesPaperBands)
     }
 }
 
-TEST_F(CalibrationTest, Sd805IsNearlyUniform)
-{
-    SocStudy s = study("SD-805");
-    // Paper: ~2% on both axes ("negligible").
-    EXPECT_LE(s.perfVariationPercent, 5.0);
-    EXPECT_LE(s.energyVariationPercent, 5.0);
-}
-
-TEST_F(CalibrationTest, Sd810MatchesPaperBands)
-{
-    SocStudy s = study("SD-810");
-    // Paper: 10% performance, 12% energy.
-    EXPECT_GE(s.perfVariationPercent, 5.0);
-    EXPECT_LE(s.perfVariationPercent, 15.0);
-    EXPECT_GE(s.energyVariationPercent, 8.0);
-    EXPECT_LE(s.energyVariationPercent, 18.0);
-
-    // dev-363 is the lemon, dev-793 the keeper (paper §IV-A2).
-    const UnitOutcome *dev363 = nullptr, *dev793 = nullptr;
-    for (const auto &u : s.units) {
-        if (u.unitId == "dev-363")
-            dev363 = &u;
-        if (u.unitId == "dev-793")
-            dev793 = &u;
-    }
-    ASSERT_NE(dev363, nullptr);
-    ASSERT_NE(dev793, nullptr);
-    EXPECT_LT(dev363->meanScore, dev793->meanScore);
-    EXPECT_GT(dev363->meanFixedEnergyJ, dev793->meanFixedEnergyJ);
-}
-
-TEST_F(CalibrationTest, Sd820MatchesPaperBands)
-{
-    SocStudy s = study("SD-820");
-    // Paper: 4% performance, 10% energy.
-    EXPECT_GE(s.perfVariationPercent, 1.0);
-    EXPECT_LE(s.perfVariationPercent, 9.0);
-    EXPECT_GE(s.energyVariationPercent, 5.0);
-    EXPECT_LE(s.energyVariationPercent, 15.0);
-    EXPECT_LE(s.fixedPerfSpreadPercent, 1.5);
-}
-
-TEST_F(CalibrationTest, Sd821MatchesPaperBands)
-{
-    SocStudy s = study("SD-821");
-    // Paper: 5% performance, 9% energy.
-    EXPECT_GE(s.perfVariationPercent, 2.0);
-    EXPECT_LE(s.perfVariationPercent, 10.0);
-    EXPECT_GE(s.energyVariationPercent, 4.0);
-    EXPECT_LE(s.energyVariationPercent, 14.0);
-
-    // Fig 11's pair: dev-488 beats dev-653 by several percent.
-    const UnitOutcome *dev488 = nullptr, *dev653 = nullptr;
-    for (const auto &u : s.units) {
-        if (u.unitId == "dev-488")
-            dev488 = &u;
-        if (u.unitId == "dev-653")
-            dev653 = &u;
-    }
-    ASSERT_NE(dev488, nullptr);
-    ASSERT_NE(dev653, nullptr);
-    EXPECT_GT(dev488->meanScore, dev653->meanScore * 1.02);
-}
-
 TEST_F(CalibrationTest, RepeatabilityMatchesMethodologyClaim)
 {
     // Paper: "average error of 1.1% RSD over roughly 300 iterations".
@@ -134,20 +72,6 @@ TEST_F(CalibrationTest, RepeatabilityMatchesMethodologyClaim)
         SocStudy s = study(soc);
         EXPECT_LE(s.meanScoreRsdPercent, 2.0) << soc;
     }
-}
-
-TEST_F(CalibrationTest, EfficiencyOrderingMatchesFig13)
-{
-    // Fig 13: the SD-805 is LESS efficient than the SD-800 it
-    // succeeded; the 14 nm parts are far more efficient than both.
-    SocStudy sd800 = study("SD-800");
-    SocStudy sd805 = study("SD-805");
-    SocStudy sd810 = study("SD-810");
-    SocStudy sd820 = study("SD-820");
-
-    EXPECT_LT(sd805.efficiencyIterPerWh, sd800.efficiencyIterPerWh);
-    EXPECT_GT(sd810.efficiencyIterPerWh, sd805.efficiencyIterPerWh);
-    EXPECT_GT(sd820.efficiencyIterPerWh, sd800.efficiencyIterPerWh);
 }
 
 } // namespace
