@@ -39,9 +39,13 @@ reap_served() {
 }
 trap reap_served EXIT
 
-cmake -B build -G Ninja -DPVAR_WERROR=ON
-cmake --build build
-ctest --test-dir build --output-on-failure -j"$(nproc)"
+# The WERROR tree has a directory of its own: `build/` is the plain
+# `cmake -B build -S .` tree (default generator), and CMake refuses to
+# reconfigure a tree under another generator.
+build=build-check
+cmake -B "$build" -S . -G Ninja -DPVAR_WERROR=ON
+cmake --build "$build"
+ctest --test-dir "$build" --output-on-failure -j"$(nproc)"
 
 # Benchmark correctness gates: the perf/ harness's --smoke runs check
 # every workload's outputs (store cold == warm == uncached bytes, an
@@ -53,8 +57,8 @@ ctest --test-dir build-perf --output-on-failure
 
 # Spec-layer round trip: the registry serialized to a fleet file must
 # run the study protocol end-to-end, as must the shipped example.
-./build/pvar_study --list-devices >/dev/null
-./build/pvar_study --fleet examples/custom_fleet.json \
+"$build"/pvar_study --list-devices >/dev/null
+"$build"/pvar_study --fleet examples/custom_fleet.json \
     --iterations 1 --quiet >/dev/null
 
 # Service smoke: start pvar_served on an ephemeral loopback port, hit
@@ -89,7 +93,7 @@ EOF
     stop_served "$pid"
     rm -rf "$tmp"
 }
-service_smoke ./build/pvar_served ./build/pvar_study
+service_smoke "$build"/pvar_served "$build"/pvar_study
 
 # Kill-recovery: SIGKILL pvar_served mid-study, restart it on the same
 # --cache-dir, and prove (a) the repeated POST /study is byte-identical
@@ -150,7 +154,7 @@ EOF
     stop_served "$pid"
     rm -rf "$tmp"
 }
-kill_recovery ./build/pvar_served ./build/pvar_study ./build/pvar_storectl
+kill_recovery "$build"/pvar_served "$build"/pvar_study "$build"/pvar_storectl
 
 # Chaos replay: a pinned fault plan must reproduce the same faulted
 # study byte-for-byte at any jobs count and cohort width (retries,
@@ -209,7 +213,7 @@ EOF
     "$storectl" verify --cache-dir "$tmp/store" --quiet
     rm -rf "$tmp"
 }
-chaos ./build/pvar_study ./build/pvar_storectl
+chaos "$build"/pvar_study "$build"/pvar_storectl
 
 # Solver equivalence: the analytic fast path must reproduce the full
 # stepped study within its accuracy contract — per-unit scores and
@@ -245,7 +249,7 @@ print("solver equivalence ok:", ", ".join(s["soc"] for s in stepped))
 EOF
     rm -rf "$tmp"
 }
-solver_equivalence ./build/pvar_study
+solver_equivalence "$build"/pvar_study
 
 # Batch identity: the die-cohort engine is a pure throughput knob.
 # A full fast-solver study and a stepped reference study must emit
@@ -266,7 +270,7 @@ batch_identity() {
     cmp "$tmp/stepped_b1.json" "$tmp/stepped_b16.json"
     rm -rf "$tmp"
 }
-batch_identity ./build/pvar_study
+batch_identity "$build"/pvar_study
 
 # Crowd identity: the stratified sampler must be a pure function of
 # (population seed, strata, rounds) — byte-identical reports at any
@@ -303,7 +307,7 @@ assert s["live_point_bytes"] > 0, s
 EOF
     rm -rf "$tmp"
 }
-crowd_identity ./build/pvar_study ./build/pvar_storectl
+crowd_identity "$build"/pvar_study "$build"/pvar_storectl
 
 # Service under load: the native generator drives a live server over
 # keep-alive connections — zero transport errors, zero non-2xx, a
@@ -363,8 +367,8 @@ if sys.argv[2] == "1":
 EOF
     rm -rf "$tmp"
 }
-service_load ./build/pvar_served ./build/pvar_loadgen \
-    ./build/pvar_study 1
+service_load "$build"/pvar_served "$build"/pvar_loadgen \
+    "$build"/pvar_study 1
 
 # Chaos soak: the service under syscall-level fault injection
 # (EMFILE/ECONNABORTED accepts, short reads/writes, resets, EPIPE,
@@ -377,7 +381,7 @@ chaos_soak() {
     local chaos=$1 seeds=$2 duration=$3
     "$chaos" --seeds "$seeds" --duration "$duration"
 }
-chaos_soak ./build/pvar_chaos 3 2
+chaos_soak "$build"/pvar_chaos 3 2
 
 # ThreadSanitizer pass over the parallel runner: the pool unit tests,
 # the protocol determinism tests (including concurrent warm studies
@@ -477,4 +481,4 @@ cmake --build build-ubsan \
 ctest --test-dir build-ubsan --output-on-failure -L paper -LE large
 
 # The two timing floors; the binary exits non-zero on a MISS.
-./build/bench/bench_speed_gates
+"$build"/bench/bench_speed_gates

@@ -62,8 +62,10 @@ struct Member
      * The trace being recorded, on the heap from the start so the
      * device's cached channel pointers stay valid until the run ends;
      * published into result.trace, frozen, when the member finishes.
+     * Null when the task keeps no trace: the device then records
+     * nothing and the result keeps emptyTrace().
      */
-    std::shared_ptr<Trace> trace = std::make_shared<Trace>();
+    std::shared_ptr<Trace> trace;
 
     Phase phase = Phase::StabilizeWait;
     bool needAdvance = false;
@@ -132,6 +134,8 @@ struct Member
         dev->setSuspendAllowed(false);
         if (cfg->soakFirst)
             dev->soakTo(box.airTemp());
+        if (task.keepTrace || cfg->livePoints)
+            trace = std::make_shared<Trace>();
         dev->attachTrace(trace.get());
 
         // Confirm the chamber is in band (the app's first step).
@@ -403,7 +407,8 @@ maybeCaptureLivePoint(Member &m)
 void
 markPhase(Member &m, AccubenchPhase phase)
 {
-    m.trace->record("phase", m.now, static_cast<double>(phase));
+    if (m.trace)
+        m.trace->record("phase", m.now, static_cast<double>(phase));
 }
 
 void
@@ -461,7 +466,8 @@ beginIterationOrFinish(Member &m)
     m.dev->attachExternalSupply(nullptr);
     m.dev->setPerformanceMode();
     m.dev->setThermalSolver(SolverKind::Stepped);
-    m.result.trace = std::move(m.trace); // frozen from here on
+    if (m.trace)
+        m.result.trace = std::move(m.trace); // frozen from here on
     m.phase = Phase::Done;
 }
 

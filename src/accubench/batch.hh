@@ -56,6 +56,16 @@ struct CohortTask
      * its work interleaves with other members'. Not owned.
      */
     FaultFrame *faultFrame = nullptr;
+
+    /**
+     * Record the die's time series into the result's trace. Only the
+     * trace is at stake: every other result byte is the same either
+     * way. The study supervisor clears it when nothing will read the
+     * trace (no result cache), and such a result carries emptyTrace().
+     * A task with live points records regardless, because a checkpoint
+     * carries the trace recorded so far.
+     */
+    bool keepTrace = true;
 };
 
 /**
@@ -68,7 +78,8 @@ int resolveBatchSize(int batch, SolverKind solver);
 /**
  * Run every task's experiment, interleaved as one cohort on the
  * calling thread. Results are positional with `tasks`; each is
- * exactly what runExperiment(task.device, task.cfg) returns.
+ * exactly what runExperiment(task.device, task.cfg) returns, except
+ * that a task which keeps no trace gets emptyTrace().
  */
 std::vector<ExperimentResult>
 runExperimentCohort(std::vector<CohortTask> &tasks);

@@ -166,6 +166,9 @@ superviseCohort(const std::vector<ExperimentTask> &tasks,
             ct.device = slot->device.get();
             ct.cfg = slot->acfg;
             ct.faultFrame = slot->frame.get();
+            // Only a cache reads a study result's trace; the reduction
+            // reads the iteration records alone.
+            ct.keepTrace = cache != nullptr;
             engine_tasks.push_back(std::move(ct));
             running.push_back(slot);
         }

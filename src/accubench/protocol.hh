@@ -177,6 +177,10 @@ struct StudyConfig
      * (unit, mode) task is routed through it, so identical experiments
      * — duplicated units within one fleet, or repeated runs against a
      * long-lived cache — are simulated once. nullptr = always compute.
+     * It also decides what is recorded: the cache receives each
+     * computed result with its full trace, while an uncached study
+     * records none, since its reduction reads only the iteration
+     * records. The report bytes are the same either way.
      */
     ExperimentCache *cache = nullptr;
 

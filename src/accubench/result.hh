@@ -106,7 +106,10 @@ struct ExperimentResult
      * engine records into a trace of its own and freezes it when the
      * run finishes, so every copy of a result (a cache entry, a hit,
      * the supervisor's stamped slot) shares one immutable trace:
-     * copying a result copies no samples.
+     * copying a result copies no samples. Recorded only when something
+     * reads it: runExperiment() and other direct engine callers, a
+     * study with a result cache, and any run with live points. An
+     * uncached study's results keep emptyTrace() (CohortTask::keepTrace).
      */
     std::shared_ptr<const Trace> trace = emptyTrace();
 

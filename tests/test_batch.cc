@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -25,6 +27,7 @@
 #include "sampling/lower_bound.hh"
 #include "accubench/protocol.hh"
 #include "device/fleet.hh"
+#include "device/registry.hh"
 #include "fault/fault.hh"
 #include "report/json.hh"
 #include "sim/logging.hh"
@@ -282,6 +285,157 @@ TEST(Batch, DivergingCohortTracesMatchIndividualRuns)
             EXPECT_EQ(a.samples()[s].value, b.samples()[s].value);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Trace keeping: a recording choice that no other result byte sees.
+// ---------------------------------------------------------------------
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/** Every iteration record of @p a and @p b, bit for bit. */
+void
+expectIterationsBitEqual(const ExperimentResult &a,
+                         const ExperimentResult &b)
+{
+    EXPECT_EQ(a.unitId, b.unitId);
+    EXPECT_EQ(a.model, b.model);
+    EXPECT_EQ(a.socName, b.socName);
+    ASSERT_EQ(a.iterations.size(), b.iterations.size());
+    for (std::size_t i = 0; i < a.iterations.size(); ++i) {
+        const IterationResult &x = a.iterations[i];
+        const IterationResult &y = b.iterations[i];
+        EXPECT_EQ(bits(x.score), bits(y.score));
+        EXPECT_EQ(bits(x.workloadEnergy.value()),
+                  bits(y.workloadEnergy.value()));
+        EXPECT_EQ(bits(x.totalEnergy.value()),
+                  bits(y.totalEnergy.value()));
+        EXPECT_EQ(x.warmupTime, y.warmupTime);
+        EXPECT_EQ(x.cooldownTime, y.cooldownTime);
+        EXPECT_EQ(x.workloadTime, y.workloadTime);
+        EXPECT_EQ(bits(x.tempAtWorkloadStart.value()),
+                  bits(y.tempAtWorkloadStart.value()));
+        EXPECT_EQ(bits(x.peakWorkloadTemp.value()),
+                  bits(y.peakWorkloadTemp.value()));
+        EXPECT_EQ(x.cooldownReachedTarget, y.cooldownReachedTarget);
+    }
+}
+
+std::string
+traceBytes(const Trace &trace)
+{
+    ByteWriter w;
+    trace.saveState(w);
+    return w.take();
+}
+
+/** One cohort of @p entry's whole fleet, as its study runs it. */
+std::vector<ExperimentResult>
+runFleetCohort(const RegistryEntry &entry, const ExperimentConfig &exp,
+               bool keep_trace)
+{
+    std::vector<std::unique_ptr<Device>> devices;
+    std::vector<CohortTask> tasks(entry.units.size());
+    for (std::size_t u = 0; u < entry.units.size(); ++u) {
+        devices.push_back(buildDevice(entry.spec, entry.units[u]));
+        tasks[u].device = devices.back().get();
+        tasks[u].cfg = exp;
+        tasks[u].keepTrace = keep_trace;
+    }
+    return runExperimentCohort(tasks);
+}
+
+/**
+ * A cohort that keeps no trace must compute exactly what one that
+ * keeps it computes: trace recording reads the device and never
+ * feeds back. Every builtin model, both study modes.
+ */
+TEST(Batch, UnkeptTraceLeavesEveryIterationBitEqual)
+{
+    QuietScope quiet;
+    for (const RegistryEntry &entry : DeviceRegistry::builtin().entries()) {
+        for (WorkloadMode mode : {WorkloadMode::Unconstrained,
+                                  WorkloadMode::FixedFrequency}) {
+            SCOPED_TRACE(strfmt("%s %s", entry.spec.socName.c_str(),
+                                mode == WorkloadMode::Unconstrained
+                                    ? "unconstrained"
+                                    : "fixed-frequency"));
+            ExperimentConfig exp;
+            exp.mode = mode;
+            exp.iterations = 1;
+            exp.solver = SolverKind::Fast;
+            exp.supply = SupplyChoice::MonsoonExplicit;
+            exp.monsoonVoltage = entry.monsoonVoltage;
+            exp.fixedFrequency = entry.fixedFrequency;
+
+            std::vector<ExperimentResult> kept =
+                runFleetCohort(entry, exp, true);
+            std::vector<ExperimentResult> unkept =
+                runFleetCohort(entry, exp, false);
+            ASSERT_EQ(kept.size(), entry.units.size());
+            ASSERT_EQ(unkept.size(), kept.size());
+            for (std::size_t u = 0; u < kept.size(); ++u) {
+                expectIterationsBitEqual(kept[u], unkept[u]);
+                EXPECT_TRUE(kept[u].trace->hasChannel("die_temp"));
+                EXPECT_TRUE(kept[u].trace->hasChannel("phase"));
+                EXPECT_EQ(unkept[u].trace, emptyTrace());
+                EXPECT_TRUE(unkept[u].trace->channelNames().empty());
+            }
+        }
+    }
+}
+
+/**
+ * A live point checkpoints the trace recorded so far, so a run with
+ * live points records its trace even when its task keeps none: the
+ * captured bytes, the restored run and the result trace all match a
+ * kept run's.
+ */
+TEST(Batch, LivePointRunRecordsItsTraceEvenUnkept)
+{
+    ExperimentConfig exp;
+    exp.mode = WorkloadMode::Unconstrained;
+    exp.iterations = 1;
+    exp.solver = SolverKind::Fast;
+    exp.accubench.warmupDuration = Time::sec(10);
+    exp.accubench.workloadDuration = Time::sec(20);
+    exp.accubench.cooldownTimeout = Time::minutes(5);
+    exp.livePointKey = "live-point-unit";
+
+    QuietScope quiet;
+    UnitCorner corner;
+    corner.id = "live-point-unit";
+    corner.corner = 1.0;
+    auto run = [&](LivePointCache &cache, bool keep_trace) {
+        auto device = makeUnitForSoc("SD-821", corner);
+        std::vector<CohortTask> tasks(1);
+        tasks[0].device = device.get();
+        tasks[0].cfg = exp;
+        tasks[0].cfg.livePoints = &cache;
+        tasks[0].keepTrace = keep_trace;
+        return std::move(runExperimentCohort(tasks).front());
+    };
+
+    MemoryLivePointCache kept_cache, unkept_cache;
+    ExperimentResult kept = run(kept_cache, true);
+    ExperimentResult unkept = run(unkept_cache, false);
+    std::string kept_point, unkept_point;
+    ASSERT_TRUE(kept_cache.fetch(exp.livePointKey, kept_point));
+    ASSERT_TRUE(unkept_cache.fetch(exp.livePointKey, unkept_point));
+    EXPECT_EQ(unkept_point, kept_point);
+
+    ASSERT_TRUE(kept.trace->hasChannel("die_temp"));
+    expectIterationsBitEqual(kept, unkept);
+    EXPECT_EQ(traceBytes(*unkept.trace), traceBytes(*kept.trace));
+
+    // Warm: the unkept run restores the checkpoint, trace included.
+    ExperimentResult restored = run(unkept_cache, false);
+    expectIterationsBitEqual(kept, restored);
+    EXPECT_EQ(traceBytes(*restored.trace), traceBytes(*kept.trace));
 }
 
 // ---------------------------------------------------------------------

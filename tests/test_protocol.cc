@@ -8,11 +8,13 @@
 
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <utility>
 
 #include "accubench/protocol.hh"
+#include "device/registry.hh"
 #include "fault/fault.hh"
 #include "report/json.hh"
 #include "sim/logging.hh"
@@ -187,6 +189,101 @@ TEST(Protocol, ConcurrentWarmStudiesShareOneCache)
     EXPECT_EQ(warm[1], cold);
     EXPECT_EQ(cache.stats().misses, cold_misses);
     EXPECT_EQ(cache.stats().hits, 2 * cold_misses);
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    std::ostringstream out;
+    out << f.rdbuf();
+    return out.str();
+}
+
+/**
+ * A ResultCache front that checks every computed result it receives
+ * against a solo runExperiment() of the same attempt: the trace must be
+ * the full one, every channel and every sample, not the empty trace an
+ * uncached study's results carry.
+ */
+class TraceCheckingCache : public ExperimentCache
+{
+  public:
+    bool
+    lookup(const RegistryEntry &entry, std::size_t unit_index,
+           const ExperimentConfig &cfg, ExperimentResult &out) override
+    {
+        return _inner.lookup(entry, unit_index, cfg, out);
+    }
+
+    void
+    insert(const RegistryEntry &entry, std::size_t unit_index,
+           const ExperimentConfig &cfg,
+           const ExperimentResult &result) override
+    {
+        auto device = buildDevice(entry.spec, entry.units.at(unit_index),
+                                  cfg.retrySalt);
+        ExperimentResult solo = runExperiment(*device, cfg);
+        bool full = result.trace->hasChannel("die_temp") &&
+                    result.trace->hasChannel("phase") &&
+                    traceBytes(*result.trace) == traceBytes(*solo.trace);
+        {
+            std::lock_guard<std::mutex> lock(_mutex);
+            ++_inserts;
+            if (!full)
+                ++_partial;
+        }
+        _inner.insert(entry, unit_index, cfg, result);
+    }
+
+    std::uint64_t
+    inserts() const
+    {
+        std::lock_guard<std::mutex> lock(_mutex);
+        return _inserts;
+    }
+
+    std::uint64_t
+    partial() const
+    {
+        std::lock_guard<std::mutex> lock(_mutex);
+        return _partial;
+    }
+
+  private:
+    static std::string
+    traceBytes(const Trace &trace)
+    {
+        ByteWriter w;
+        trace.saveState(w);
+        return w.take();
+    }
+
+    ResultCache _inner;
+    mutable std::mutex _mutex;
+    std::uint64_t _inserts = 0;
+    std::uint64_t _partial = 0;
+};
+
+TEST(Protocol, CachedFastStudyGivesTheCacheFullTraces)
+{
+    LogLevel old = setLogLevel(LogLevel::Quiet);
+    TraceCheckingCache cache;
+    StudyConfig cfg;
+    cfg.iterations = 1;
+    cfg.solver = SolverKind::Fast;
+    cfg.jobs = 2;
+    cfg.cache = &cache;
+    std::string out = toJson(runFullStudy(cfg));
+    setLogLevel(old);
+
+    std::string golden = readFile(std::string(PVAR_TEST_DATA_DIR) +
+                                  "/full_study_fast_iter1.json");
+    ASSERT_FALSE(golden.empty());
+    // The tool appends one newline after the document.
+    EXPECT_EQ(out + "\n", golden);
+    EXPECT_EQ(cache.inserts(), 36u); // 18 units x 2 modes
+    EXPECT_EQ(cache.partial(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -496,15 +593,6 @@ TEST(Supervised, PermanentFaultOnRetryInWideCohortPropagates)
     EXPECT_THROW(runSocStudy("SD-805", quickStudyConfig(1, 8)),
                  PermanentFaultError);
     setLogLevel(old);
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream f(path, std::ios::binary);
-    std::ostringstream out;
-    out << f.rdbuf();
-    return out.str();
 }
 
 /**
