@@ -21,8 +21,8 @@
 #include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
-#include "accubench/accubench.hh"
 #include "accubench/experiment.hh"
+#include "accubench/phase_windows.hh"
 #include "accubench/protocol.hh"
 #include "accubench/ranking.hh"
 #include "bench_util.hh"
@@ -419,19 +419,18 @@ TEST(Paper, fig4_unconstrained_trace)
 
     auto device = makeUnitForSoc(
         "SD-800", UnitCorner{"bin-3", +1.25, +0.10, 0.0, 3});
-    Simulator sim(Time::msec(10));
-    sim.add(device.get());
-    device->soakTo(Celsius(26.0));
-
-    Trace trace;
-    device->attachTrace(&trace);
-    AccubenchConfig cfg; // paper defaults: 3 min warmup, 5 min workload
-    IterationResult r = runAccubenchIteration(sim, *device, cfg, &trace);
+    ExperimentConfig cfg; // paper defaults: 3 min warmup, 5 min workload
+    cfg.iterations = 1;
+    cfg.supply = SupplyChoice::Battery;
+    ExperimentResult run = runExperiment(*device, cfg);
+    const IterationResult &r = run.iterations.at(0);
+    const Trace &trace = *run.trace;
 
     std::printf("\nPhase summary:\n");
     std::printf("  warmup   %6.1f s\n", r.warmupTime.toSec());
     std::printf("  cooldown %6.1f s (reached %.1fC target: %s)\n",
-                r.cooldownTime.toSec(), cfg.cooldownTarget.value(),
+                r.cooldownTime.toSec(),
+                cfg.accubench.cooldownTarget.value(),
                 r.cooldownReachedTarget ? "yes" : "no");
     std::printf("  workload %6.1f s, score %.1f iterations, "
                 "energy %.1f J\n",
@@ -445,27 +444,29 @@ TEST(Paper, fig4_unconstrained_trace)
                                60)
                     .c_str());
 
-    // Phase windows for the checks.
-    Time warmup_end = r.warmupTime;
-    Time workload_start = r.warmupTime + r.cooldownTime;
+    // Phase windows for the checks; the chamber stabilizes first, so
+    // warmup does not start at t = 0.
+    auto warmup = phaseWindow(trace, AccubenchPhase::Warmup, 0);
+    auto workload = phaseWindow(trace, AccubenchPhase::Workload, 0);
+    ASSERT_TRUE(warmup && workload);
     const auto &temp = trace.channel("die_temp");
     const auto &freq = trace.channel("freq_cpu");
 
     double warmup_peak = -1e9, workload_peak = -1e9;
     double workload_min_freq = 1e12;
     double temp_at_workload_start = 0.0;
-    for (std::size_t i = 0; i < temp.size(); ++i) {
-        const auto &s = temp.samples()[i];
-        if (s.when <= warmup_end)
+    for (const auto &s : temp.samples()) {
+        if (s.when >= warmup->begin && s.when <= warmup->end)
             warmup_peak = std::max(warmup_peak, s.value);
-        if (s.when >= workload_start) {
+        if (s.when >= workload->begin && s.when <= workload->end) {
             workload_peak = std::max(workload_peak, s.value);
             if (temp_at_workload_start == 0.0)
                 temp_at_workload_start = s.value;
         }
     }
     for (const auto &s : freq.samples()) {
-        if (s.when >= workload_start && s.value > 0)
+        if (s.when >= workload->begin && s.when <= workload->end &&
+            s.value > 0)
             workload_min_freq = std::min(workload_min_freq, s.value);
     }
 
@@ -473,9 +474,11 @@ TEST(Paper, fig4_unconstrained_trace)
     paperCheck(warmup_peak >= 70.0,
                "warmup drives the die into the throttling region (" +
                    fmtDouble(warmup_peak, 1) + " C)");
-    paperCheck(temp_at_workload_start <= cfg.cooldownTarget.value() + 3,
+    paperCheck(temp_at_workload_start <=
+                   cfg.accubench.cooldownTarget.value() + 3,
                "cooldown resets the die near the target before the "
-               "workload");
+               "workload (" + fmtDouble(temp_at_workload_start, 1) +
+                   " C)");
     paperCheck(workload_min_freq < 2265.0,
                "the workload phase throttles below the 2265 MHz top "
                "OPP (min " + fmtDouble(workload_min_freq, 0) + " MHz)");
@@ -500,16 +503,14 @@ TEST(Paper, fig5_fixedfreq_trace)
         DeviceRegistry::builtin().at("SD-800").fixedFrequency;
     auto device = makeUnitForSoc(
         "SD-800", UnitCorner{"bin-3", +1.25, +0.10, 0.0, 3});
-    device->setFixedFrequency(pinned_freq);
-
-    Simulator sim(Time::msec(10));
-    sim.add(device.get());
-    device->soakTo(Celsius(26.0));
-
-    Trace trace;
-    device->attachTrace(&trace);
-    AccubenchConfig cfg;
-    IterationResult r = runAccubenchIteration(sim, *device, cfg, &trace);
+    ExperimentConfig cfg;
+    cfg.mode = WorkloadMode::FixedFrequency;
+    cfg.fixedFrequency = pinned_freq;
+    cfg.iterations = 1;
+    cfg.supply = SupplyChoice::Battery;
+    ExperimentResult run = runExperiment(*device, cfg);
+    const IterationResult &r = run.iterations.at(0);
+    const Trace &trace = *run.trace;
 
     std::printf("\nPhase summary:\n");
     std::printf("  warmup   %6.1f s\n", r.warmupTime.toSec());

@@ -460,21 +460,22 @@ chaos_soak ./build-asan/pvar_chaos 2 2
 
 # UndefinedBehaviorSanitizer pass over the numeric core: die and
 # cluster power, the supply solve, the device tick on both solvers,
-# the cohort engine and the study protocol, the store (the CRC
-# kernel's intrinsics and the bulk sample codec), a full fast-solver
-# study, then the paper cases' fast pass (label `paper`, not `large`).
-# Any report aborts the run.
+# the cohort engine and its ACCUBENCH phase machine on both solvers,
+# the study protocol, the store (the CRC kernel's intrinsics and the
+# bulk sample codec), a full fast-solver study, then the paper cases'
+# fast pass (label `paper`, not `large`). Any report aborts the run.
 cmake -B build-ubsan -G Ninja -DPVAR_SANITIZE=undefined
 cmake --build build-ubsan \
     --target test_die test_cluster_soc test_power test_device \
-        test_fast_solver test_batch test_protocol test_store pvar_study \
-        pvar_paper
+        test_fast_solver test_batch test_accubench test_protocol \
+        test_store pvar_study pvar_paper
 ./build-ubsan/tests/test_die
 ./build-ubsan/tests/test_cluster_soc
 ./build-ubsan/tests/test_power
 ./build-ubsan/tests/test_device
 ./build-ubsan/tests/test_fast_solver
 ./build-ubsan/tests/test_batch
+./build-ubsan/tests/test_accubench
 ./build-ubsan/tests/test_protocol
 ./build-ubsan/tests/test_store
 ./build-ubsan/pvar_study --solver fast --iterations 1 --quiet

@@ -18,14 +18,17 @@
  *
  * Phases are numbered in the recorded "phase" trace channel:
  * 0 = idle, 1 = warmup, 2 = cooldown, 3 = workload.
+ *
+ * This header holds only the phase labels and parameters. The phase
+ * machine itself is the cohort engine's (accubench/batch.hh); run it
+ * through runExperiment() (accubench/experiment.hh).
  */
 
 #ifndef PVAR_ACCUBENCH_ACCUBENCH_HH
 #define PVAR_ACCUBENCH_ACCUBENCH_HH
 
-#include "accubench/result.hh"
-#include "device/device.hh"
-#include "sim/simulator.hh"
+#include "sim/time.hh"
+#include "sim/units.hh"
 #include "workload/workload.hh"
 
 namespace pvar
@@ -64,24 +67,6 @@ struct AccubenchConfig
     /** The CPU-intensive task. */
     CpuIntensiveWorkload workload;
 };
-
-/**
- * Run one ACCUBENCH iteration on a device.
- *
- * The device must already be registered with the simulator (and, if
- * applicable, placed in a Thermabox that is also registered). The
- * call drives the simulator forward through the three phases and
- * returns the scored result.
- *
- * @param sim the simulation loop to advance.
- * @param device the device under test.
- * @param cfg technique parameters.
- * @param trace optional trace to annotate with the "phase" channel
- *        (the device should already be recording into the same trace).
- */
-IterationResult runAccubenchIteration(Simulator &sim, Device &device,
-                                      const AccubenchConfig &cfg,
-                                      Trace *trace = nullptr);
 
 } // namespace pvar
 

@@ -9,7 +9,6 @@
 #include "fault/fault.hh"
 #include "power/monsoon.hh"
 #include "sim/bytes.hh"
-#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
 namespace pvar
@@ -36,10 +35,9 @@ enum class Phase
 };
 
 /**
- * One die mid-experiment. Carries a replica of the Simulator state
- * (clock, event queue, event-driven flag) because the engine — not a
- * Simulator — drives the member's two components, which is what lets
- * it interleave device segments across the cohort.
+ * One die mid-experiment. Carries its own clock because the engine
+ * drives the member's two components itself, which is what lets it
+ * interleave device segments across the cohort.
  */
 struct Member
 {
@@ -50,11 +48,10 @@ struct Member
     Thermabox box;
     std::unique_ptr<Monsoon> monsoon;
 
-    // Simulator replica. Components tick in Simulator::add order:
-    // chamber first, device second, then the event queue drains.
-    EventQueue events;
+    // Components tick chamber first, device second. A Fast member
+    // jumps event to event: to the nearest component boundary or
+    // protocol deadline, never less than one dt.
     Time now = Time::zero();
-    bool eventDriven = false;
 
     ExperimentResult result;
 
@@ -93,7 +90,6 @@ struct Member
         : dev(task.device), cfg(&task.cfg), frame(task.faultFrame),
           box(task.cfg.thermabox)
     {
-        // Mirrors runExperiment()'s setup line for line.
         result.unitId = dev->unitId();
         result.model = dev->model();
         result.socName = dev->socName();
@@ -104,7 +100,6 @@ struct Member
         box.placeDevice(dev);
 
         if (cfg->solver == SolverKind::Fast) {
-            eventDriven = true;
             dev->setThermalSolver(SolverKind::Fast);
             box.setSolver(SolverKind::Fast);
         }
@@ -392,13 +387,6 @@ maybeCaptureLivePoint(Member &m)
         m.cfg->livePointKey.empty() || m.frame)
         return;
     m.livePointSaved = true; // one attempt per run, success or not
-    if (m.events.pending() != 0) {
-        // The replica queue is empty by construction today; refuse to
-        // capture rather than silently drop a pending event.
-        warn("live point: pending events at the capture point; "
-             "not capturing");
-        return;
-    }
     m.cfg->livePoints->store(m.cfg->livePointKey, encodeLivePoint(m));
 }
 
@@ -472,11 +460,12 @@ beginIterationOrFinish(Member &m)
 }
 
 /**
- * Run the member's protocol script until it either needs a simulator
+ * Run the member's protocol script until it either needs an
  * advance (needAdvance set; `limit` holds the active deadline) or
  * completes. Called once after setup and after every advance; each
- * "Wait" case re-checks its loop condition exactly as the serial
- * runUntil / runUntilCondition loops do.
+ * "Wait" case re-checks its loop condition after every advance, and a
+ * deadline is reached in whole advances, so it may be overshot by up
+ * to one dt.
  */
 void
 stepProtocol(Member &m)
@@ -484,7 +473,7 @@ stepProtocol(Member &m)
     for (;;) {
         switch (m.phase) {
           case Phase::StabilizeWait:
-            // runUntilCondition(box.stable, +30min): the predicate is
+            // Wait up to 30 min for box.stable(): the predicate is
             // checked after every advance, then once more on deadline.
             if (m.box.stable()) {
                 beginIterationOrFinish(m);
@@ -667,18 +656,17 @@ runExperimentCohort(std::vector<CohortTask> &tasks)
         if (advancers.empty())
             break;
 
-        // One Simulator::advanceOnce replica per member: pick the
-        // event-driven jump target, tick the chamber, then open the
-        // device tick — staged for Fast members so their segments can
-        // interleave, monolithic otherwise.
+        // One advance per member: pick the event-driven jump target,
+        // tick the chamber, then open the device tick — staged for
+        // Fast members so their segments can interleave, monolithic
+        // otherwise.
         staged.clear();
         for (Member *m : advancers) {
             FaultFrameGuard guard(m->frame);
+            m->needAdvance = false;
             Time target = m->now + m->cfg->dt;
-            if (m->eventDriven) {
-                Time candidate = m->events.nextDeadline();
-                candidate = std::min(
-                    candidate, m->box.nextBoundary(m->now, m->cfg->dt));
+            if (m->cfg->solver == SolverKind::Fast) {
+                Time candidate = m->box.nextBoundary(m->now, m->cfg->dt);
                 candidate = std::min(
                     candidate, m->dev->nextBoundary(m->now, m->cfg->dt));
                 candidate = std::min(candidate, m->limit);
@@ -716,12 +704,6 @@ runExperimentCohort(std::vector<CohortTask> &tasks)
                                    return m->dev->fastTickDone();
                                }),
                 staged.end());
-        }
-
-        for (Member *m : advancers) {
-            FaultFrameGuard guard(m->frame);
-            m->events.runUntil(m->now);
-            m->needAdvance = false;
         }
     }
 

@@ -1,15 +1,15 @@
 /**
  * @file
- * Batched die engine: structure-of-arrays experiment cohorts.
+ * Batched die engine: structure-of-arrays experiment cohorts, and the
+ * one implementation of the ACCUBENCH phase machine (§III).
  *
- * runExperiment() walks one device through the §III protocol on its
- * own Simulator. That leaves the dominant costs — the leakage/power
- * closure and the analytic thermal jump — as one long dependency
+ * Run one die at a time, the dominant costs — the leakage/power
+ * closure and the analytic thermal jump — form one long dependency
  * chain per die. The cohort engine instead runs B dies of the same
- * spec in lockstep on one thread: every member carries a replica of
- * the Simulator clock and its own protocol state machine, but the
- * per-segment work is issued stage by stage across the whole cohort
- * (all power closures, then all thermal jumps, then all services).
+ * spec in lockstep on one thread: every member carries its own clock
+ * and its own protocol state machine, but the per-segment work is
+ * issued stage by stage across the whole cohort (all power closures,
+ * then all thermal jumps, then all services).
  * Same-topology members share one eigendecomposition and their
  * thermal jumps advance through FastThermalSolver::advanceBatch over
  * a planar [node][die] state block.

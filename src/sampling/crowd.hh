@@ -21,6 +21,7 @@
 #include "accubench/accubench.hh"
 #include "accubench/ranking.hh"
 #include "stats/summary.hh"
+#include "thermal/rc_network.hh"
 
 namespace pvar
 {

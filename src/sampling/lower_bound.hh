@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "accubench/accubench.hh"
+#include "thermal/rc_network.hh"
 
 namespace pvar
 {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 #include <arpa/inet.h>
@@ -33,9 +32,6 @@ PollerBackend
 defaultPollerBackend()
 {
 #ifdef __linux__
-    const char *env = std::getenv("PVAR_POLLER");
-    if (env && std::string(env) == "poll")
-        return PollerBackend::Poll;
     return PollerBackend::Epoll;
 #else
     return PollerBackend::Poll;
@@ -46,20 +42,6 @@ const char *
 pollerBackendName(PollerBackend backend)
 {
     return backend == PollerBackend::Epoll ? "epoll" : "poll";
-}
-
-bool
-parsePollerBackend(const std::string &text, PollerBackend &out)
-{
-    if (text == "epoll") {
-        out = PollerBackend::Epoll;
-        return true;
-    }
-    if (text == "poll") {
-        out = PollerBackend::Poll;
-        return true;
-    }
-    return false;
 }
 
 Poller::Poller(PollerBackend backend) : _backend(backend)

@@ -5,9 +5,9 @@
  *
  * Three pieces, each independently testable:
  *
- *  - Poller: a thin readiness-notification shim. epoll on Linux, with
- *    a poll(2) fallback selected at runtime (PVAR_POLLER=poll or by
- *    config) so the portable path stays exercised on the same box.
+ *  - Poller: a thin readiness-notification shim. epoll on Linux and
+ *    poll(2) elsewhere; tests also run the poll(2) path on Linux so it
+ *    stays exercised on the same box.
  *
  *  - TimerWheel: a hashed timer wheel with lazy cancellation. Idle
  *    and slow-loris deadlines are O(1) to (re)arm — which happens on
@@ -62,11 +62,10 @@ enum class PollerBackend
     Poll,
 };
 
-/** Epoll on Linux unless PVAR_POLLER=poll asks for the fallback. */
+/** Epoll on Linux, Poll elsewhere (chosen at compile time). */
 PollerBackend defaultPollerBackend();
 
 const char *pollerBackendName(PollerBackend backend);
-bool parsePollerBackend(const std::string &text, PollerBackend &out);
 
 /** Readiness notification over a set of fds. */
 class Poller
@@ -171,6 +170,7 @@ struct HttpLoopConfig
      *  stops reading from it (TCP backpressure does the rest). */
     std::size_t maxPipeline = 16;
 
+    /** Readiness backend; anything but the default is for tests. */
     PollerBackend backend = defaultPollerBackend();
 
     /** Grace period for flushing in-flight responses at stop. */

@@ -93,7 +93,6 @@ StudyService::start()
     lc.limits = _cfg.limits;
     lc.maxConns = _cfg.maxConns;
     lc.idleTimeoutMs = _cfg.idleTimeoutMs;
-    lc.backend = _cfg.backend;
 
     _loop = std::make_unique<HttpServerLoop>(
         lc,
@@ -131,8 +130,9 @@ StudyService::start()
 
     inform("pvar_served: listening on %s:%d (%s loop, %d workers, "
            "queue %zu, cache %zu)",
-           _cfg.host.c_str(), _port, pollerBackendName(_cfg.backend),
-           _cfg.workers, _cfg.queueDepth, _cfg.cacheEntries);
+           _cfg.host.c_str(), _port,
+           pollerBackendName(defaultPollerBackend()), _cfg.workers,
+           _cfg.queueDepth, _cfg.cacheEntries);
 }
 
 void
@@ -376,7 +376,7 @@ StudyService::handleHealthz()
     if (_loop) {
         HttpLoopStats ls = _loop->stats();
         w.beginObject();
-        w.key("backend").value(pollerBackendName(_cfg.backend));
+        w.key("backend").value(pollerBackendName(defaultPollerBackend()));
         w.key("open").value(static_cast<long long>(ls.open));
         w.key("accepted").value(static_cast<long long>(ls.accepted));
         w.key("keepalive_reuses")

@@ -103,9 +103,6 @@ struct ServiceConfig
     /** Per-connection idle/slow-loris deadline, in ms. */
     int idleTimeoutMs = 5000;
 
-    /** Readiness backend for the event loop. */
-    PollerBackend backend = defaultPollerBackend();
-
     /** Result-cache capacity, in experiments; 0 disables caching. */
     std::size_t cacheEntries = 128;
 

@@ -1,13 +1,11 @@
 #include "sim/simulator.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace pvar
 {
 
-Simulator::Simulator(Time dt) : _dt(dt), _now(Time::zero()), _steps(0)
+Simulator::Simulator(Time dt) : _dt(dt), _now(Time::zero())
 {
     if (dt <= Time::zero())
         fatal("Simulator step must be positive, got %s",
@@ -21,49 +19,20 @@ Simulator::add(Tickable *component)
 }
 
 void
-Simulator::remove(Tickable *component)
-{
-    _components.erase(
-        std::remove(_components.begin(), _components.end(), component),
-        _components.end());
-}
-
-void
-Simulator::advanceOnce(Time limit)
-{
-    // The jump target: nearest pending event or component boundary,
-    // clamped to the caller's deadline — but never less than one base
-    // step, which reproduces the fixed-step loop's overshoot when a
-    // deadline is not dt-aligned and keeps pinned components exact.
-    Time target = _now + _dt;
-    if (_eventDriven) {
-        Time candidate = _events.nextDeadline();
-        for (auto *c : _components)
-            candidate = std::min(candidate, c->nextBoundary(_now, _dt));
-        candidate = std::min(candidate, limit);
-        target = std::max(target, candidate);
-    }
-    Time dt = target - _now;
-    _now = target;
-    ++_steps;
-    for (auto *c : _components)
-        c->tick(_now, dt);
-    _events.runUntil(_now);
-}
-
-void
 Simulator::step()
 {
-    // A bare step is always one base dt, in either mode: callers that
-    // single-step want the fixed cadence they asked for.
-    advanceOnce(_now + _dt);
+    _now += _dt;
+    for (auto *c : _components)
+        c->tick(_now, _dt);
 }
 
 void
 Simulator::runUntil(Time deadline)
 {
+    // Whole steps only: a deadline that is not dt-aligned is overshot
+    // to the next step boundary.
     while (_now < deadline)
-        advanceOnce(deadline);
+        step();
 }
 
 void
@@ -76,7 +45,7 @@ bool
 Simulator::runUntilCondition(const std::function<bool()> &pred, Time deadline)
 {
     while (_now < deadline) {
-        advanceOnce(deadline);
+        step();
         if (pred())
             return true;
     }

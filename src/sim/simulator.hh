@@ -9,7 +9,6 @@
 #include <functional>
 #include <vector>
 
-#include "sim/event_queue.hh"
 #include "sim/tickable.hh"
 #include "sim/time.hh"
 
@@ -19,10 +18,11 @@ namespace pvar
 /**
  * Owns the simulation clock and drives registered components.
  *
- * The loop advances in fixed steps of `dt`; after each step it drains
- * the event queue up to the new time. Components are *not* owned by the
- * simulator — the experiment object that assembles a device graph keeps
- * ownership and must outlive the run.
+ * The loop advances in fixed steps of `dt`. Components are *not* owned
+ * by the simulator — the caller that assembles a device graph keeps
+ * ownership and must outlive the run. Experiments do not run here:
+ * the cohort engine (accubench/batch.hh) drives its members' clocks
+ * itself, event to event.
  */
 class Simulator
 {
@@ -33,28 +33,11 @@ class Simulator
     /** Register a component; order defines per-step evaluation order. */
     void add(Tickable *component);
 
-    /** Remove a previously registered component. */
-    void remove(Tickable *component);
-
     /** Current simulation time. */
     Time now() const { return _now; }
 
     /** Fixed step length. */
     Time dt() const { return _dt; }
-
-    /** One-shot and periodic callbacks. */
-    EventQueue &events() { return _events; }
-
-    /**
-     * Event-driven mode: instead of fixed `dt` ticks, each step jumps
-     * to the nearest component boundary or pending event (never less
-     * than one `dt`, so the mode degenerates to fixed stepping when a
-     * component demands it). Components see the same tick() interface
-     * with a variable dt. Off by default.
-     */
-    void setEventDriven(bool on) { _eventDriven = on; }
-
-    bool eventDriven() const { return _eventDriven; }
 
     /** Advance by exactly one step. */
     void step();
@@ -73,18 +56,10 @@ class Simulator
      */
     bool runUntilCondition(const std::function<bool()> &pred, Time deadline);
 
-    /** Total steps executed (diagnostics). */
-    std::uint64_t stepsExecuted() const { return _steps; }
-
   private:
     Time _dt;
     Time _now;
-    std::uint64_t _steps;
-    bool _eventDriven = false;
     std::vector<Tickable *> _components;
-    EventQueue _events;
-
-    void advanceOnce(Time limit);
 };
 
 } // namespace pvar

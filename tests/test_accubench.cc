@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests for the ACCUBENCH phase machine.
+ * Tests for the ACCUBENCH phase machine, run through runExperiment()
+ * on both thermal solvers: the stepped reference and the fast path's
+ * event-to-event cooldown polling.
  */
 
 #include <gtest/gtest.h>
 
-#include "accubench/accubench.hh"
+#include "accubench/experiment.hh"
 #include "device/fleet.hh"
 #include "sim/simulator.hh"
 
@@ -14,15 +16,20 @@ namespace pvar
 namespace
 {
 
-AccubenchConfig
-quickConfig()
+constexpr SolverKind kSolvers[] = {SolverKind::Stepped, SolverKind::Fast};
+
+ExperimentConfig
+quickConfig(SolverKind solver)
 {
-    AccubenchConfig cfg;
-    cfg.warmupDuration = Time::sec(30);
-    cfg.workloadDuration = Time::sec(60);
-    cfg.cooldownTarget = Celsius(34.0);
-    cfg.cooldownPoll = Time::sec(5);
-    cfg.cooldownTimeout = Time::minutes(20);
+    ExperimentConfig cfg;
+    cfg.iterations = 1;
+    cfg.solver = solver;
+    cfg.supply = SupplyChoice::Battery;
+    cfg.accubench.warmupDuration = Time::sec(30);
+    cfg.accubench.workloadDuration = Time::sec(60);
+    cfg.accubench.cooldownTarget = Celsius(34.0);
+    cfg.accubench.cooldownPoll = Time::sec(5);
+    cfg.accubench.cooldownTimeout = Time::minutes(20);
     return cfg;
 }
 
@@ -32,41 +39,51 @@ device()
     return makeUnitForSoc("SD-800", UnitCorner{"x", 0.0, 0.0, 0.0, 2});
 }
 
+/** The single iteration of a one-iteration experiment. */
+IterationResult
+runOnce(Device &d, const ExperimentConfig &cfg)
+{
+    ExperimentResult r = runExperiment(d, cfg);
+    EXPECT_EQ(r.iterations.size(), 1u);
+    return r.iterations.at(0);
+}
+
 TEST(Accubench, PhaseDurationsHonoured)
 {
-    auto d = device();
-    Simulator sim(Time::msec(10));
-    sim.add(d.get());
+    for (SolverKind solver : kSolvers) {
+        SCOPED_TRACE(solverKindName(solver));
+        auto d = device();
+        IterationResult r = runOnce(*d, quickConfig(solver));
 
-    AccubenchConfig cfg = quickConfig();
-    IterationResult r = runAccubenchIteration(sim, *d, cfg);
-
-    EXPECT_EQ(r.warmupTime, Time::sec(30));
-    EXPECT_EQ(r.workloadTime, Time::sec(60));
-    EXPECT_GT(r.cooldownTime, Time::zero());
-    EXPECT_TRUE(r.cooldownReachedTarget);
+        EXPECT_EQ(r.warmupTime, Time::sec(30));
+        EXPECT_EQ(r.workloadTime, Time::sec(60));
+        EXPECT_GT(r.cooldownTime, Time::zero());
+        EXPECT_TRUE(r.cooldownReachedTarget);
+    }
 }
 
 TEST(Accubench, ScoreAndEnergyPositive)
 {
-    auto d = device();
-    Simulator sim(Time::msec(10));
-    sim.add(d.get());
-    IterationResult r = runAccubenchIteration(sim, *d, quickConfig());
-    EXPECT_GT(r.score, 50.0); // ~3.5 it/s for 60 s
-    EXPECT_GT(r.workloadEnergy.value(), 20.0);
-    EXPECT_GT(r.totalEnergy.value(), r.workloadEnergy.value());
+    for (SolverKind solver : kSolvers) {
+        SCOPED_TRACE(solverKindName(solver));
+        auto d = device();
+        IterationResult r = runOnce(*d, quickConfig(solver));
+        EXPECT_GT(r.score, 50.0); // ~3.5 it/s for 60 s
+        EXPECT_GT(r.workloadEnergy.value(), 20.0);
+        EXPECT_GT(r.totalEnergy.value(), r.workloadEnergy.value());
+    }
 }
 
 TEST(Accubench, CooldownEndsAtOrBelowTarget)
 {
-    auto d = device();
-    Simulator sim(Time::msec(10));
-    sim.add(d.get());
-    AccubenchConfig cfg = quickConfig();
-    IterationResult r = runAccubenchIteration(sim, *d, cfg);
-    EXPECT_LE(r.tempAtWorkloadStart.value(),
-              cfg.cooldownTarget.value() + 0.5);
+    for (SolverKind solver : kSolvers) {
+        SCOPED_TRACE(solverKindName(solver));
+        auto d = device();
+        ExperimentConfig cfg = quickConfig(solver);
+        IterationResult r = runOnce(*d, cfg);
+        EXPECT_LE(r.tempAtWorkloadStart.value(),
+                  cfg.accubench.cooldownTarget.value() + 0.5);
+    }
 }
 
 TEST(Accubench, DeviceSleepsDuringCooldown)
@@ -88,71 +105,71 @@ TEST(Accubench, DeviceSleepsDuringCooldown)
 
 TEST(Accubench, PhaseChannelMarksAllPhases)
 {
-    auto d = device();
-    Simulator sim(Time::msec(10));
-    sim.add(d.get());
-    Trace trace;
-    d->attachTrace(&trace);
-    IterationResult r = runAccubenchIteration(sim, *d, quickConfig(),
-                                              &trace);
-    (void)r;
-    ASSERT_TRUE(trace.hasChannel("phase"));
-    auto values = trace.channel("phase").values();
-    // Warmup, cooldown, workload, and the final idle marker.
-    EXPECT_EQ(values.size(), 4u);
-    EXPECT_DOUBLE_EQ(values[0],
-                     static_cast<double>(AccubenchPhase::Warmup));
-    EXPECT_DOUBLE_EQ(values[1],
-                     static_cast<double>(AccubenchPhase::Cooldown));
-    EXPECT_DOUBLE_EQ(values[2],
-                     static_cast<double>(AccubenchPhase::Workload));
-    EXPECT_DOUBLE_EQ(values[3],
-                     static_cast<double>(AccubenchPhase::Idle));
+    for (SolverKind solver : kSolvers) {
+        SCOPED_TRACE(solverKindName(solver));
+        auto d = device();
+        ExperimentResult r = runExperiment(*d, quickConfig(solver));
+        ASSERT_TRUE(r.trace->hasChannel("phase"));
+        auto values = r.trace->channel("phase").values();
+        // Warmup, cooldown, workload, and the final idle marker.
+        ASSERT_EQ(values.size(), 4u);
+        EXPECT_DOUBLE_EQ(values[0],
+                         static_cast<double>(AccubenchPhase::Warmup));
+        EXPECT_DOUBLE_EQ(values[1],
+                         static_cast<double>(AccubenchPhase::Cooldown));
+        EXPECT_DOUBLE_EQ(values[2],
+                         static_cast<double>(AccubenchPhase::Workload));
+        EXPECT_DOUBLE_EQ(values[3],
+                         static_cast<double>(AccubenchPhase::Idle));
+    }
 }
 
 TEST(Accubench, WakelockBalanced)
 {
-    auto d = device();
-    Simulator sim(Time::msec(10));
-    sim.add(d.get());
-    runAccubenchIteration(sim, *d, quickConfig());
-    EXPECT_EQ(d->wakelockCount(), 0);
+    for (SolverKind solver : kSolvers) {
+        SCOPED_TRACE(solverKindName(solver));
+        auto d = device();
+        runOnce(*d, quickConfig(solver));
+        EXPECT_EQ(d->wakelockCount(), 0);
+    }
 }
 
 TEST(Accubench, CooldownTimeoutIsReported)
 {
-    auto d = device();
-    Simulator sim(Time::msec(10));
-    sim.add(d.get());
-    AccubenchConfig cfg = quickConfig();
-    cfg.cooldownTarget = Celsius(5.0); // below ambient: unreachable
-    cfg.cooldownTimeout = Time::sec(30);
-    IterationResult r = runAccubenchIteration(sim, *d, cfg);
-    EXPECT_FALSE(r.cooldownReachedTarget);
-    EXPECT_GE(r.cooldownTime, Time::sec(30));
-    // The workload still ran and scored.
-    EXPECT_GT(r.score, 0.0);
+    for (SolverKind solver : kSolvers) {
+        SCOPED_TRACE(solverKindName(solver));
+        auto d = device();
+        ExperimentConfig cfg = quickConfig(solver);
+        // Below the chamber's 26 C: unreachable.
+        cfg.accubench.cooldownTarget = Celsius(5.0);
+        cfg.accubench.cooldownTimeout = Time::sec(30);
+        IterationResult r = runOnce(*d, cfg);
+        EXPECT_FALSE(r.cooldownReachedTarget);
+        EXPECT_GE(r.cooldownTime, Time::sec(30));
+        // The workload still ran and scored.
+        EXPECT_GT(r.score, 0.0);
+    }
 }
 
 TEST(Accubench, WarmupNormalizesBackToBackIterations)
 {
     // The methodology claim: after the first iteration, subsequent
     // scores agree tightly even though the device starts warm.
-    auto d = makeUnitForSoc("SD-800", UnitCorner{"leaky", 1.2, 0.2, 0.0, 3});
-    Simulator sim(Time::msec(10));
-    sim.add(d.get());
+    for (SolverKind solver : kSolvers) {
+        SCOPED_TRACE(solverKindName(solver));
+        auto d = makeUnitForSoc("SD-800",
+                                UnitCorner{"leaky", 1.2, 0.2, 0.0, 3});
+        ExperimentConfig cfg; // paper defaults: 3 min, 5 min, 32 C
+        cfg.iterations = 3;
+        cfg.solver = solver;
+        cfg.supply = SupplyChoice::Battery;
+        ExperimentResult r = runExperiment(*d, cfg);
+        ASSERT_EQ(r.iterations.size(), 3u);
 
-    AccubenchConfig cfg;
-    cfg.warmupDuration = Time::minutes(3);
-    cfg.workloadDuration = Time::minutes(5);
-    cfg.cooldownTarget = Celsius(32.0);
-
-    std::vector<double> scores;
-    for (int i = 0; i < 3; ++i)
-        scores.push_back(runAccubenchIteration(sim, *d, cfg).score);
-
-    // Iterations 2 and 3 agree within 2%.
-    EXPECT_NEAR(scores[2] / scores[1], 1.0, 0.02);
+        // Iterations 2 and 3 agree within 2%.
+        EXPECT_NEAR(r.iterations[2].score / r.iterations[1].score, 1.0,
+                    0.02);
+    }
 }
 
 } // namespace

@@ -10,7 +10,6 @@
  *     --queue N         pending-study queue depth (default 8)
  *     --max-conns N     open-connection cap (default 256)
  *     --idle-timeout MS per-connection idle deadline (default 5000)
- *     --poller KIND     readiness backend: epoll | poll
  *     --jobs N          experiment workers per study (default: all
  *                       hardware threads)
  *     --iterations N    default iterations per experiment (default 5)
@@ -71,8 +70,6 @@ usage()
         "                    answer 503 and close (default 256)\n"
         "  --idle-timeout MS per-connection idle/slow-loris deadline\n"
         "                    in milliseconds (default 5000, min 100)\n"
-        "  --poller KIND     readiness backend: \"epoll\" (default on\n"
-        "                    Linux) or \"poll\" (portable fallback)\n"
         "  --jobs N          experiment workers per study (default:\n"
         "                    all hardware threads)\n"
         "  --iterations N    default iterations per experiment "
@@ -144,12 +141,6 @@ main(int argc, char **argv)
         } else if (arg == "--idle-timeout") {
             cfg.idleTimeoutMs =
                 static_cast<int>(intArg(arg, next(), 100));
-        } else if (arg == "--poller") {
-            std::string kind = next();
-            if (!parsePollerBackend(kind, cfg.backend))
-                fatal("pvar_served: --poller must be \"epoll\" or "
-                      "\"poll\", got \"%s\"",
-                      kind.c_str());
         } else if (arg == "--jobs") {
             cfg.study.jobs = static_cast<int>(intArg(arg, next(), 1));
         } else if (arg == "--iterations") {
